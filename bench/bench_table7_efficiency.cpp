@@ -16,6 +16,11 @@
 // exits 1), per-iteration GB/s under the bytes-touched model below, and a
 // roofline note — all recorded under "kernels" in BENCH_table7.json.
 //
+// A second hard gate counts work instead of timing it: the calibration
+// intercept's solve must average at most kMaxSweepsPerIteration sweeps
+// over the slots per EM iteration across the three strategy runs (the
+// count is deterministic, so it means something even at smoke size).
+//
 // --smoke runs the same program on KvSimConfig::Small() (CI's check.sh
 // gate); the default is the skewed Table 7 corpus.
 #include <algorithm>
@@ -53,6 +58,10 @@ constexpr double kBytesPerEdgeIter = 24 + 20;
 // touch the per-slot streams only.
 constexpr double kEmPassBytesPerSlot = 36 + 17 + 20;
 
+// Intercept-solve budget: the seeded Newton solve takes about 5 sweeps per
+// iteration, while a solve reduced to bisection needs 40 or more.
+constexpr double kMaxSweepsPerIteration = 8.0;
+
 double IterGbps(size_t num_slots, size_t num_edges, double iter_seconds) {
   if (iter_seconds <= 0.0) return 0.0;
   const double bytes = double(num_slots) * kBytesPerSlotIter +
@@ -72,6 +81,8 @@ struct StrategyTiming {
   size_t biggest_group = 0;
   size_t num_slots = 0;
   size_t num_edges = 0;
+  int iterations = 0;
+  int intercept_sweeps = 0;
 
   double PrepTotal() const { return prep_source + prep_extractor; }
   double IterTotal() const {
@@ -115,6 +126,8 @@ StrategyTiming RunStrategy(const exp::KvSimData& kv,
     const auto [b, e] = matrix->ExtractorEdges(g);
     t.biggest_group = std::max<size_t>(t.biggest_group, e - b);
   }
+  t.iterations = report->iterations();
+  t.intercept_sweeps = report->inference.intercept_sweeps;
   const double iters = static_cast<double>(report->iterations());
   t.ext_corr = timers.TotalSeconds("I.ExtCorr") / iters;
   t.triple_pr = timers.TotalSeconds("II.TriplePr") / iters;
@@ -308,6 +321,21 @@ int main(int argc, char** argv) {
               normal.num_sources, normal.num_groups, normal.biggest_group,
               split.num_sources, split.num_groups, split.biggest_group,
               sm.num_sources, sm.num_groups, sm.biggest_group);
+  const int total_sweeps =
+      normal.intercept_sweeps + split.intercept_sweeps + sm.intercept_sweeps;
+  const int total_iterations =
+      normal.iterations + split.iterations + sm.iterations;
+  const double sweeps_per_iteration =
+      total_iterations > 0 ? double(total_sweeps) / total_iterations : 0.0;
+  std::printf("intercept solve: %.2f sweeps per iteration (gate <= %.0f)\n",
+              sweeps_per_iteration, kMaxSweepsPerIteration);
+  if (sweeps_per_iteration > kMaxSweepsPerIteration) {
+    std::fprintf(stderr,
+                 "INTERCEPT SWEEP BUDGET EXCEEDED: %.2f sweeps per iteration "
+                 "> %.0f\n",
+                 sweeps_per_iteration, kMaxSweepsPerIteration);
+    return 1;
+  }
   std::printf(
       "\nPaper shape (Table 7): splitting giant extractor groups speeds up\n"
       "extractor-quality computation ~8.8x and halves overall time; merging\n"
@@ -362,6 +390,8 @@ int main(int argc, char** argv) {
                      std::string(kernels::IsaName(kernels::ActiveIsa())));
   writer.AddMetric("unit_seconds", unit, "seconds");
   writer.AddMetric("em_pass_speedup", em_speedup, "ratio");
+  writer.AddMetric("intercept_sweeps_per_iteration", sweeps_per_iteration,
+                   "count");
   writer.AddMetric("scalar_em_pass_seconds_per_iter",
                    scalar_kernel.em_pass_seconds, "seconds");
   writer.AddMetric("vectorized_em_pass_seconds_per_iter",

@@ -23,9 +23,9 @@ Status AnnotateShard(const Status& status, uint32_t shard_index) {
 /// verbatim passthrough — the bit-for-bit parity guarantee. For K > 1:
 /// website rows come from each website's owner shard, source rows
 /// concatenate in shard order (ShardedTrustReport::source_offset),
-/// predictions merge under the cross-shard triple rule, counts/timings
-/// sum. Inference vectors stay empty (shard-local coordinates; warm starts
-/// use the per-shard reports).
+/// predictions merge under the cross-shard triple rule, counts, timings
+/// and intercept sweeps sum. Inference vectors stay empty (shard-local
+/// coordinates; warm starts use the per-shard reports).
 TrustReport MergeReports(const std::vector<TrustReport>& shards,
                          uint64_t salt) {
   if (shards.size() == 1) return shards[0];
@@ -49,6 +49,7 @@ TrustReport MergeReports(const std::vector<TrustReport>& shards,
         std::max(merged.inference.iterations, report.inference.iterations);
     merged.inference.converged =
         merged.inference.converged && report.inference.converged;
+    merged.inference.intercept_sweeps += report.inference.intercept_sweeps;
     num_website_rows = std::max(num_website_rows, report.website_kbt.size());
   }
 

@@ -42,10 +42,13 @@ struct MultiLayerConfig {
 
   // ---- Priors / initial parameter values (Section 3.1) ----
   /// Initial p(C_wdv = 1) prior. The paper states alpha = 0.5 but also sets
-  /// gamma = p(C_wdv=1) = 0.25 in Eq. 7 — the same quantity. Using the
-  /// gamma-consistent value keeps iteration dynamics stable (alpha = 0.5
-  /// lets the extractor-precision feedback loop drive every posterior to 1
-  /// on sparse cubes); the worked-example tests pin 0.5 explicitly.
+  /// gamma = p(C_wdv=1) = 0.25 in Eq. 7 — the same quantity; the default
+  /// takes the gamma-consistent value. Under calibrate_correctness the
+  /// choice barely matters: logit(alpha) adds one constant to every slot's
+  /// log-odds until the alpha update starts, and the shared intercept tau
+  /// absorbs it (0.5 and 0.25 give the same AUC-PR to 6 decimals on KvSim
+  /// Default and Skewed). The worked-example tests, which run without
+  /// calibration, pin 0.5 explicitly.
   double initial_alpha = 0.25;
   double default_source_accuracy = 0.8;  // A_w
   double default_recall = 0.8;           // R_e

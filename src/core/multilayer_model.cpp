@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/math.h"
@@ -23,85 +24,134 @@ uint64_t PackPredSite(uint32_t pred, uint32_t site) {
   return (static_cast<uint64_t>(pred) << 32) | site;
 }
 
-/// Per-scope additive totals. Two uses per iteration:
+/// Per-Run dense index of the extractor scopes. Slots map to the distinct
+/// (predicate, website) pairs they carry, and every extractor group to the
+/// one bucket its scope names. Ids are handed out in slot order, first seen
+/// first, so the layout is deterministic, and every array is sized by the
+/// number of distinct ids seen, never by an id's value.
+///
+/// Bucket layout: [0] is the global bucket, then one bucket per predicate,
+/// per website and per pair, in that order, then one bucket that covers no
+/// slot, for group scopes that match none.
+struct ScopeIndex {
+  std::vector<uint32_t> slot_pair;     // per slot: pair id
+  std::vector<uint32_t> pair_pred;     // per pair: its predicate's bucket
+  std::vector<uint32_t> pair_site;     // per pair: its website's bucket
+  std::vector<uint32_t> group_bucket;  // per extractor group
+  uint32_t pair_base = 0;              // bucket of pair 0
+  uint32_t num_buckets = 0;
+
+  size_t num_pairs() const { return pair_pred.size(); }
+};
+
+ScopeIndex BuildScopeIndex(const CompiledMatrix& matrix) {
+  ScopeIndex index;
+  std::unordered_map<uint64_t, uint32_t> pair_ids;
+  std::unordered_map<uint32_t, uint32_t> pred_ids;
+  std::unordered_map<uint32_t, uint32_t> site_ids;
+  index.slot_pair.resize(matrix.num_slots());
+  for (size_t s = 0; s < matrix.num_slots(); ++s) {
+    const uint32_t pred = matrix.slot_predicate(s);
+    const uint32_t site = matrix.slot_website(s);
+    const auto [it, inserted] = pair_ids.try_emplace(
+        PackPredSite(pred, site), static_cast<uint32_t>(pair_ids.size()));
+    if (inserted) {
+      index.pair_pred.push_back(
+          pred_ids.try_emplace(pred, static_cast<uint32_t>(pred_ids.size()))
+              .first->second);
+      index.pair_site.push_back(
+          site_ids.try_emplace(site, static_cast<uint32_t>(site_ids.size()))
+              .first->second);
+    }
+    index.slot_pair[s] = it->second;
+  }
+  const uint32_t pred_base = 1;
+  const uint32_t site_base = pred_base + static_cast<uint32_t>(pred_ids.size());
+  index.pair_base = site_base + static_cast<uint32_t>(site_ids.size());
+  const uint32_t none =
+      index.pair_base + static_cast<uint32_t>(pair_ids.size());
+  index.num_buckets = none + 1;
+  for (uint32_t& b : index.pair_pred) b += pred_base;
+  for (uint32_t& b : index.pair_site) b += site_base;
+
+  const auto bucket_of = [none](const auto& ids, auto key, uint32_t base) {
+    const auto it = ids.find(key);
+    return it == ids.end() ? none : base + it->second;
+  };
+  index.group_bucket.resize(matrix.num_extractor_groups());
+  for (uint32_t g = 0; g < matrix.num_extractor_groups(); ++g) {
+    const ExtractorScope& scope = matrix.extractor_scope(g);
+    const bool any_pred = scope.predicate == kAnyScope;
+    const bool any_site = scope.website == kAnyScope;
+    if (any_pred && any_site) {
+      index.group_bucket[g] = 0;
+    } else if (any_site) {
+      index.group_bucket[g] = bucket_of(pred_ids, scope.predicate, pred_base);
+    } else if (any_pred) {
+      index.group_bucket[g] = bucket_of(site_ids, scope.website, site_base);
+    } else {
+      index.group_bucket[g] =
+          bucket_of(pair_ids, PackPredSite(scope.predicate, scope.website),
+                    index.pair_base);
+    }
+  }
+  return index;
+}
+
+/// Per-scope additive totals over a ScopeIndex's buckets. Two uses per
+/// iteration:
 ///  * absence universe: each extractor group deposits its weighted absence
 ///    vote into the bucket matching its scope; a slot's total absence
 ///    evidence is the SUM over all four bucket levels covering it;
 ///  * recall denominators: each slot deposits p(C=1|X) into its exact
 ///    (predicate, website) bucket plus the coarser levels; a group reads the
 ///    ONE bucket matching its scope.
+/// Each bucket adds its deposits in call order, so callers that deposit in
+/// group or slot order get sums that do not depend on the executor.
 class ScopeTable {
  public:
-  void Clear() {
-    global_ = 0.0;
-    by_pred_.clear();
-    by_site_.clear();
-    by_pred_site_.clear();
+  explicit ScopeTable(const ScopeIndex& index)
+      : index_(index), bucket_(index.num_buckets, 0.0) {}
+
+  void Clear() { std::fill(bucket_.begin(), bucket_.end(), 0.0); }
+
+  /// Deposits `v` into the bucket of group `g`'s scope.
+  void AddForGroup(uint32_t g, double v) {
+    bucket_[index_.group_bucket[g]] += v;
   }
 
-  /// Deposits `v` into the bucket identified by `scope` (group-side use).
-  void AddForScope(const ExtractorScope& scope, double v) {
-    const bool any_pred = scope.predicate == kAnyScope;
-    const bool any_site = scope.website == kAnyScope;
-    if (any_pred && any_site) {
-      global_ += v;
-    } else if (!any_pred && any_site) {
-      by_pred_[scope.predicate] += v;
-    } else if (any_pred && !any_site) {
-      by_site_[scope.website] += v;
-    } else {
-      by_pred_site_[PackPredSite(scope.predicate, scope.website)] += v;
-    }
+  /// Deposits `v` into every level covering slot `s`.
+  void AddForSlot(size_t s, double v) {
+    const uint32_t pair = index_.slot_pair[s];
+    bucket_[0] += v;
+    bucket_[index_.pair_pred[pair]] += v;
+    bucket_[index_.pair_site[pair]] += v;
+    bucket_[index_.pair_base + pair] += v;
   }
 
-  /// Deposits `v` into every level covering (pred, site) (slot-side use).
-  void AddForSlot(uint32_t pred, uint32_t site, double v) {
-    global_ += v;
-    by_pred_[pred] += v;
-    by_site_[site] += v;
-    by_pred_site_[PackPredSite(pred, site)] += v;
-  }
-
-  /// Total over all buckets covering a slot at (pred, site).
-  double SumCovering(uint32_t pred, uint32_t site) const {
-    double total = global_;
-    if (const auto it = by_pred_.find(pred); it != by_pred_.end()) {
-      total += it->second;
-    }
-    if (const auto it = by_site_.find(site); it != by_site_.end()) {
-      total += it->second;
-    }
-    if (const auto it = by_pred_site_.find(PackPredSite(pred, site));
-        it != by_pred_site_.end()) {
-      total += it->second;
-    }
+  /// Total over the four buckets covering the slots of pair `pair`.
+  double SumCovering(uint32_t pair) const {
+    double total = bucket_[0];
+    total += bucket_[index_.pair_pred[pair]];
+    total += bucket_[index_.pair_site[pair]];
+    total += bucket_[index_.pair_base + pair];
     return total;
   }
 
-  /// Value of the single bucket matching `scope`.
-  double AtScope(const ExtractorScope& scope) const {
-    const bool any_pred = scope.predicate == kAnyScope;
-    const bool any_site = scope.website == kAnyScope;
-    if (any_pred && any_site) return global_;
-    if (!any_pred && any_site) {
-      const auto it = by_pred_.find(scope.predicate);
-      return it == by_pred_.end() ? 0.0 : it->second;
-    }
-    if (any_pred && !any_site) {
-      const auto it = by_site_.find(scope.website);
-      return it == by_site_.end() ? 0.0 : it->second;
-    }
-    const auto it =
-        by_pred_site_.find(PackPredSite(scope.predicate, scope.website));
-    return it == by_pred_site_.end() ? 0.0 : it->second;
-  }
+  /// Value of the single bucket matching group `g`'s scope.
+  double AtGroup(uint32_t g) const { return bucket_[index_.group_bucket[g]]; }
 
  private:
-  double global_ = 0.0;
-  std::unordered_map<uint32_t, double> by_pred_;
-  std::unordered_map<uint32_t, double> by_site_;
-  std::unordered_map<uint64_t, double> by_pred_site_;
+  const ScopeIndex& index_;
+  std::vector<double> bucket_;
 };
+
+/// Times the enclosing block under `stage` when `timers` is set.
+std::unique_ptr<dataflow::StageTimers::Scope> TimeStage(
+    dataflow::StageTimers* timers, const char* stage) {
+  if (timers == nullptr) return nullptr;
+  return std::make_unique<dataflow::StageTimers::Scope>(*timers, stage);
+}
 
 /// Serial fallbacks when no executor is supplied.
 void ForRange(dataflow::Executor* ex, size_t n,
@@ -129,6 +179,53 @@ ExtractorVotes ComputeVotes(double recall, double q, double absence_weight) {
   v.presence = PresenceVote(recall, q);
   v.weighted_absence = absence_weight * AbsenceVote(recall, q);
   return v;
+}
+
+InterceptSolve SolveIntercept(std::span<const double> logodds, double target,
+                              double seed, dataflow::Executor* executor) {
+  constexpr double kBound = 30.0;
+  constexpr double kTolerance = 1e-13;
+  constexpr int kMaxSweeps = 100;
+  const double n = static_cast<double>(logodds.size());
+  double lo = -kBound;
+  double hi = kBound;
+  InterceptSolve out;
+  out.tau = Clamp(seed, lo, hi);
+  while (true) {
+    const double tau = out.tau;
+    const auto [mass, slope] = dataflow::BlockedSumPair(
+        executor, logodds.size(), [&](size_t begin, size_t end) {
+          double m = 0.0;
+          double d = 0.0;
+          for (size_t s = begin; s < end; ++s) {
+            const double c = Sigmoid(logodds[s] + tau);
+            m += c;
+            d += c * (1.0 - c);
+          }
+          return std::pair<double, double>(m, d);
+        });
+    ++out.sweeps;
+    const double f = mass / n - target;
+    if (f == 0.0 || out.sweeps == kMaxSweeps) return out;
+    if (f < 0.0) {
+      lo = tau;
+    } else {
+      hi = tau;
+    }
+    if (slope > 0.0) {
+      const double step = f / (slope / n);
+      if (std::fabs(step) < kTolerance) return out;
+      const double next = tau - step;
+      if (next > lo && next < hi) {
+        out.tau = next;
+        continue;
+      }
+    }
+    // The Newton step left the bracket or the slope vanished: bisect.
+    const double mid = 0.5 * (lo + hi);
+    if (std::fabs(mid - tau) < kTolerance) return out;
+    out.tau = mid;
+  }
 }
 
 double UpdatedAlpha(double value_prob, double source_accuracy) {
@@ -182,6 +279,7 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
       r.source_accuracy[w] = clampP(initial.source_accuracy[w]);
     }
   }
+  const ScopeIndex scopes = BuildScopeIndex(matrix);
   double default_recall = config.default_recall;
   double default_q = config.default_q;
   if (config.adaptive_initial_recall && initial.extractor_recall.empty() &&
@@ -189,14 +287,11 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
     // Method-of-moments starting point: match the initial R to the observed
     // extraction density so iteration 1's absence evidence is well-scaled
     // (see multilayer_config.h).
-    ScopeTable universe;
-    for (uint32_t g = 0; g < num_groups; ++g) {
-      universe.AddForScope(matrix.extractor_scope(g), 1.0);
-    }
+    ScopeTable universe(scopes);
+    for (uint32_t g = 0; g < num_groups; ++g) universe.AddForGroup(g, 1.0);
     double applicable = 0.0;
     for (size_t s = 0; s < num_slots; ++s) {
-      applicable +=
-          universe.SumCovering(matrix.slot_predicate(s), matrix.slot_website(s));
+      applicable += universe.SumCovering(scopes.slot_pair[s]);
     }
     const double mean_universe =
         std::max(1.0, applicable / static_cast<double>(num_slots));
@@ -302,25 +397,33 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
 
   std::vector<ExtractorVotes> votes(num_groups);
   std::vector<double> slot_logodds(num_slots, 0.0);
-  ScopeTable absence_universe;
-  ScopeTable slot_mass;
+  ScopeTable absence_universe(scopes);
+  ScopeTable slot_mass(scopes);
+  // Per-(predicate, website) absence total: slots sharing a scope pair
+  // share one SumCovering lookup.
+  std::vector<double> pair_absence(scopes.num_pairs(), 0.0);
 
   // Per-group net Stage I vote, presence - weighted absence: the staged
   // path's memo of the difference the scalar reference recomputes per edge
   // (same subtraction on the same inputs, so the same bits).
   std::vector<double> net_vote(num_groups, 0.0);
 
+  // Votes are per group and independent, so they run on the executor; the
+  // deposits run serially in group order, which fixes each bucket's sum.
   const auto refresh_votes = [&]() {
+    ForRange(executor, num_groups, [&](size_t begin, size_t end) {
+      for (size_t g = begin; g < end; ++g) {
+        votes[g] = ComputeVotes(
+            r.extractor_recall[g], r.extractor_q[g],
+            matrix.extractor_scope(static_cast<uint32_t>(g)).absence_weight);
+        net_vote[g] = votes[g].presence - votes[g].weighted_absence;
+      }
+    });
     absence_universe.Clear();
     for (uint32_t g = 0; g < num_groups; ++g) {
-      const ExtractorScope& scope = matrix.extractor_scope(g);
-      votes[g] = ComputeVotes(r.extractor_recall[g], r.extractor_q[g],
-                              scope.absence_weight);
-      absence_universe.AddForScope(scope, votes[g].weighted_absence);
-      net_vote[g] = votes[g].presence - votes[g].weighted_absence;
+      absence_universe.AddForGroup(g, votes[g].weighted_absence);
     }
   };
-  refresh_votes();
 
   // ---- Kernel streams ----
   const kernels::Kind kind = config.kernel;
@@ -380,32 +483,10 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
     }
   }
 
-  // Stage I memo of the per-(predicate, website) absence total: slots
-  // sharing a scope pair share one SumCovering lookup. Pair ids are
-  // assigned in slot order (deterministic).
-  std::vector<uint32_t> slot_pair;
-  std::vector<uint32_t> pair_pred;
-  std::vector<uint32_t> pair_site;
-  std::vector<double> pair_absence;
-  if (vectorized) {
-    slot_pair.resize(num_slots);
-    std::unordered_map<uint64_t, uint32_t> pair_ids;
-    for (size_t s = 0; s < num_slots; ++s) {
-      const uint32_t pred = matrix.slot_predicate(s);
-      const uint32_t site = matrix.slot_website(s);
-      const auto [it, inserted] = pair_ids.emplace(
-          PackPredSite(pred, site), static_cast<uint32_t>(pair_pred.size()));
-      if (inserted) {
-        pair_pred.push_back(pred);
-        pair_site.push_back(site);
-      }
-      slot_pair[s] = it->second;
-    }
-    pair_absence.resize(pair_pred.size(), 0.0);
-  }
-
-  std::vector<double> delta_per_chunk;  // Convergence tracking.
   Mutex delta_mutex;
+  // The calibration intercept. Each iteration's solve starts from the
+  // previous one's; nothing carries over from an earlier Run.
+  double tau = 0.0;
 
   for (int iteration = 1; iteration <= config.max_iterations; ++iteration) {
     double max_delta = 0.0;
@@ -414,23 +495,24 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
       max_delta = std::max(max_delta, d);
     };
 
+    {
+      const auto t = TimeStage(timers, "Scopes");
+      refresh_votes();
+    }
+
     // ============ Stage I: extraction correctness p(C|X), Eq. 15 ============
     {
-      std::unique_ptr<dataflow::StageTimers::Scope> t;
-      if (timers) {
-        t = std::make_unique<dataflow::StageTimers::Scope>(*timers,
-                                                           "I.ExtCorr");
+      const auto t = TimeStage(timers, "I.ExtCorr");
+      // Log-odds per slot, before the shared calibration intercept. Both
+      // kinds start from the absence total of the slot's (predicate,
+      // website) pair. The staged path sweeps the contiguous per-slot edge
+      // ranges in blocks (conf[e] * net_vote[group]); the per-slot edge sum
+      // stays sequential in edge order, so both kinds run the same float
+      // program.
+      for (uint32_t pair = 0; pair < scopes.num_pairs(); ++pair) {
+        pair_absence[pair] = absence_universe.SumCovering(pair);
       }
-      // Log-odds per slot, before the shared calibration intercept. The
-      // staged path sweeps the contiguous per-slot edge ranges in blocks
-      // (conf[e] * net_vote[group]) and memoizes the absence total per
-      // (predicate, website) pair; the per-slot edge sum stays sequential
-      // in edge order, so both kinds run the same float program.
       if (vectorized) {
-        for (size_t pid = 0; pid < pair_pred.size(); ++pid) {
-          pair_absence[pid] =
-              absence_universe.SumCovering(pair_pred[pid], pair_site[pid]);
-        }
         ForRange(executor, num_slots, [&](size_t begin, size_t end) {
           kernels::EmScratch scratch;
           size_t s = begin;
@@ -450,7 +532,7 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
                                     net_vote.data(), eb, ee,
                                     scratch.edge_terms.data());
             for (; s < s2; ++s) {
-              double vcc = pair_absence[slot_pair[s]];
+              double vcc = pair_absence[scopes.slot_pair[s]];
               const auto [b2, e2] = matrix.SlotExtractions(s);
               for (uint32_t e = b2; e < e2; ++e) {
                 vcc += scratch.edge_terms[e - eb];
@@ -462,8 +544,7 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
       } else {
         ForRange(executor, num_slots, [&](size_t begin, size_t end) {
           for (size_t s = begin; s < end; ++s) {
-            double vcc = absence_universe.SumCovering(matrix.slot_predicate(s),
-                                                      matrix.slot_website(s));
+            double vcc = pair_absence[scopes.slot_pair[s]];
             const auto [eb, ee] = matrix.SlotExtractions(s);
             for (uint32_t e = eb; e < ee; ++e) {
               const uint32_t g = matrix.ext_group()[e];
@@ -476,35 +557,16 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
       }
 
       // Shared intercept: mean p(C|X) is pinned to the expected provided
-      // fraction (see multilayer_config.h). Bisection on a monotone mean;
-      // the sigmoid sweep runs through the deterministic chunked reduction,
-      // so tau is bit-identical for every thread count (and both kernel
-      // kinds share this code).
-      double tau = 0.0;
+      // fraction (see multilayer_config.h). Both kernel kinds share this
+      // solve.
       if (config.calibrate_correctness && num_slots > 0) {
-        const double target = Clamp(config.expected_provided_fraction,
-                                    0.01, 0.99);
-        double lo = -30.0;
-        double hi = 30.0;
-        for (int step = 0; step < 60; ++step) {
-          tau = 0.5 * (lo + hi);
-          const double mean =
-              dataflow::BlockedSum(
-                  executor, num_slots,
-                  [&](size_t begin, size_t end) {
-                    double m = 0.0;
-                    for (size_t s = begin; s < end; ++s) {
-                      m += Sigmoid(slot_logodds[s] + tau);
-                    }
-                    return m;
-                  }) /
-              static_cast<double>(num_slots);
-          if (mean < target) {
-            lo = tau;
-          } else {
-            hi = tau;
-          }
-        }
+        const auto ti = TimeStage(timers, "I.Intercept");
+        const InterceptSolve solve = SolveIntercept(
+            slot_logodds,
+            Clamp(config.expected_provided_fraction, 0.01, 0.99), tau,
+            executor);
+        tau = solve.tau;
+        r.intercept_sweeps += solve.sweeps;
       }
 
       ForRange(executor, num_slots, [&](size_t begin, size_t end) {
@@ -520,19 +582,17 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
     }
 
     // Per-scope mass of p(C=1), the recall denominator of Eq. 33.
-    slot_mass.Clear();
-    for (size_t s = 0; s < num_slots; ++s) {
-      slot_mass.AddForSlot(matrix.slot_predicate(s), matrix.slot_website(s),
-                           r.slot_correct_prob[s]);
+    {
+      const auto t = TimeStage(timers, "Scopes");
+      slot_mass.Clear();
+      for (size_t s = 0; s < num_slots; ++s) {
+        slot_mass.AddForSlot(s, r.slot_correct_prob[s]);
+      }
     }
 
     // ============ Stage II: triple truth p(V_d|X), Eqs. 21/25 ============
     {
-      std::unique_ptr<dataflow::StageTimers::Scope> t;
-      if (timers) {
-        t = std::make_unique<dataflow::StageTimers::Scope>(*timers,
-                                                           "II.TriplePr");
-      }
+      const auto t = TimeStage(timers, "II.TriplePr");
       if (use_staged) {
         // Per-iteration memo streams: one SourceVote (or log-odds) per
         // source, and the per-slot correctness weight (Eq. 25 soft weight,
@@ -637,11 +697,7 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
 
     // ============ Stage III: source accuracy A_w, Eq. 27/28 ============
     if (config.update_source_accuracy) {
-      std::unique_ptr<dataflow::StageTimers::Scope> t;
-      if (timers) {
-        t = std::make_unique<dataflow::StageTimers::Scope>(*timers,
-                                                           "III.SrcAccu");
-      }
+      const auto t = TimeStage(timers, "III.SrcAccu");
       ForGroups(executor, num_sources, [&](size_t w) {
         if (!r.source_supported[w]) return;  // Stays at initial value.
         const auto [b, e] = matrix.SourceSlots(static_cast<uint32_t>(w));
@@ -684,11 +740,7 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
 
     // ============ Stage IV: extractor quality, Eqs. 32-33 + Eq. 7 ============
     if (config.update_extractor_quality) {
-      std::unique_ptr<dataflow::StageTimers::Scope> t;
-      if (timers) {
-        t = std::make_unique<dataflow::StageTimers::Scope>(*timers,
-                                                           "IV.ExtQuality");
-      }
+      const auto t = TimeStage(timers, "IV.ExtQuality");
       ForGroups(executor, num_groups, [&](size_t g) {
         if (!r.extractor_supported[g]) return;
         const auto [b, e] = matrix.ExtractorEdges(static_cast<uint32_t>(g));
@@ -697,9 +749,9 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
             matrix.ext_slots().data(), r.slot_correct_prob.data());
         const double sum_joint = tally.num;
         const double sum_conf = tally.den;
-        const ExtractorScope& scope =
-            matrix.extractor_scope(static_cast<uint32_t>(g));
-        const double denom_r = slot_mass.AtScope(scope) * scope.absence_weight;
+        const double denom_r =
+            slot_mass.AtGroup(static_cast<uint32_t>(g)) *
+            matrix.extractor_scope(static_cast<uint32_t>(g)).absence_weight;
         if (sum_conf > 1e-12) {
           r.extractor_precision[g] = clampP(sum_joint / sum_conf);
         }
@@ -718,7 +770,6 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
       });
     }
 
-    refresh_votes();
     r.iterations = iteration;
     if (max_delta < config.convergence_tol) {
       r.converged = true;

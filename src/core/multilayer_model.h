@@ -1,6 +1,8 @@
 #ifndef KBT_CORE_MULTILAYER_MODEL_H_
 #define KBT_CORE_MULTILAYER_MODEL_H_
 
+#include <span>
+
 #include "common/status.h"
 #include "dataflow/parallel.h"
 #include "dataflow/stage_timer.h"
@@ -55,6 +57,23 @@ struct ExtractorVotes {
 
 /// Computes votes from quality parameters; exposed for tests (Table 3).
 ExtractorVotes ComputeVotes(double recall, double q, double absence_weight);
+
+/// The calibration intercept and the sweeps over the slots it took.
+struct InterceptSolve {
+  double tau = 0.0;
+  int sweeps = 0;
+};
+
+/// Solves mean_s sigmoid(logodds[s] + tau) = target for tau in [-30, 30]
+/// by safeguarded Newton, starting from `seed`. Each step is one sweep that
+/// sums sigmoid and its derivative over BlockedSum's fixed blocks, so tau
+/// is bit-identical for every executor (null runs serially). A step that
+/// leaves the shrinking bracket, or a slope of 0, is replaced by
+/// bisection. The solve stops when the mean hits the target exactly or
+/// the step falls under 1e-13, and returns the last tau it evaluated; a
+/// target outside the bracket's reach ends at the nearer bound.
+InterceptSolve SolveIntercept(std::span<const double> logodds, double target,
+                              double seed, dataflow::Executor* executor);
 
 /// Eq. (26): the re-estimated prior p(C_wdv = 1) given the current triple
 /// probability and source accuracy. Example 3.3: (0.004, 0.6) -> ~0.4.

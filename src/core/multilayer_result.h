@@ -50,6 +50,9 @@ struct MultiLayerResult {
 
   int iterations = 0;
   bool converged = false;
+  /// Sweeps over the slots that the calibration intercept's solve took,
+  /// summed over iterations (0 when calibration is off).
+  int intercept_sweeps = 0;
 };
 
 }  // namespace kbt::core

@@ -96,6 +96,15 @@ double BlockedSum(Executor* ex, size_t n,
                   const std::function<double(size_t, size_t)>& block_sum,
                   size_t block_size = kBlockedSumBlock);
 
+/// BlockedSum over two quantities in one sweep: `block_sums(begin, end)`
+/// returns both partials of a block, and each of the two totals combines
+/// its partials sequentially in block order, under the same contract.
+std::pair<double, double> BlockedSumPair(
+    Executor* ex, size_t n,
+    const std::function<std::pair<double, double>(size_t, size_t)>&
+        block_sums,
+    size_t block_size = kBlockedSumBlock);
+
 }  // namespace kbt::dataflow
 
 #endif  // KBT_DATAFLOW_PARALLEL_H_

@@ -11,9 +11,19 @@
 
 namespace kbt::dataflow {
 
-/// Accumulates wall-clock time per named pipeline stage. The Table 7
-/// reproduction reads stage totals for "Prep.Source", "Prep.Extractor",
-/// "I.ExtCorr", "II.TriplePr", "III.SrcAccu", "IV.ExtQuality".
+/// Accumulates wall-clock time per named pipeline stage. The stage labels
+/// recorded today (also the `stage` label of kbt_em_stage_seconds):
+///  * "Pipeline.<Stage>" — each api::Stage of a Pipeline run
+///    ("Pipeline.Granularity" ... "Pipeline.Evaluate");
+///  * "Prep.Source", "Prep.Extractor" — SPLITANDMERGE preparation;
+///  * "I.ExtCorr", "II.TriplePr", "III.SrcAccu", "IV.ExtQuality" — the
+///    multi-layer EM stages, once per iteration each;
+///  * "I.Intercept" — the calibration intercept's solve, nested inside
+///    "I.ExtCorr" (which still covers the whole stage);
+///  * "Scopes" — the multi-layer vote refresh and slot-mass loop, the scope
+///    bookkeeping between the stages (twice per iteration);
+///  * "SL.TriplePr", "SL.SrcAccu" — the single-layer E and M steps.
+/// Nested labels overlap their parent, so do not sum every entry.
 class StageTimers {
  public:
   StageTimers() = default;

@@ -134,6 +134,9 @@ TEST(ShardedPipelineTest, SingleShardMatchesUnshardedBitForBit) {
     ASSERT_EQ(reports->shards.size(), 1u);
     ExpectReportsEqual(reports->merged, *report);
     ExpectReportsEqual(reports->shards[0], *report);
+    EXPECT_GT(report->inference.intercept_sweeps, 0);
+    EXPECT_EQ(reports->merged.inference.intercept_sweeps,
+              report->inference.intercept_sweeps);
 
     // Published snapshots carry identical serving answers and stamps.
     const auto sharded_snapshot = sharded->PublishSnapshot(*reports);
@@ -180,11 +183,15 @@ TEST(ShardedPipelineTest, MultiShardMergedInvariants) {
   const TrustReport& merged = reports->merged;
 
   // Counts: observations partition exactly; website space is global.
+  // Intercept sweeps sum like the other counts.
   size_t shard_observations = 0;
+  int shard_sweeps = 0;
   for (const TrustReport& shard : reports->shards) {
     shard_observations += shard.counts.num_observations;
+    shard_sweeps += shard.inference.intercept_sweeps;
   }
   EXPECT_EQ(merged.counts.num_observations, shard_observations);
+  EXPECT_EQ(merged.inference.intercept_sweeps, shard_sweeps);
   EXPECT_EQ(merged.counts.num_observations, cube.observations.size());
 
   // Website rows come from their owner shard verbatim.

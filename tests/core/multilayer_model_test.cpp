@@ -113,6 +113,32 @@ TEST(MultiLayerModelTest, ParallelMatchesSerial) {
   }
 }
 
+TEST(MultiLayerModelTest, SubPhasesAreTimedOncePerIteration) {
+  // I.Intercept nests inside I.ExtCorr; Scopes times the vote refresh and
+  // the slot-mass loop, the two bookkeeping passes between the stages.
+  const CompiledMatrix matrix = BuildSyntheticMatrix(SyntheticConfig{});
+  dataflow::StageTimers timers;
+  const auto result =
+      MultiLayerModel::Run(matrix, TestConfig(), {}, nullptr, &timers);
+  ASSERT_TRUE(result.ok());
+  const int iterations = result->iterations;
+  EXPECT_EQ(timers.Count("I.ExtCorr"), iterations);
+  EXPECT_EQ(timers.Count("I.Intercept"), iterations);
+  EXPECT_EQ(timers.Count("Scopes"), 2 * iterations);
+  EXPECT_LE(timers.TotalSeconds("I.Intercept"),
+            timers.TotalSeconds("I.ExtCorr"));
+  EXPECT_GE(result->intercept_sweeps, iterations);
+
+  MultiLayerConfig uncalibrated = TestConfig();
+  uncalibrated.calibrate_correctness = false;
+  dataflow::StageTimers off_timers;
+  const auto off =
+      MultiLayerModel::Run(matrix, uncalibrated, {}, nullptr, &off_timers);
+  ASSERT_TRUE(off.ok());
+  EXPECT_EQ(off->intercept_sweeps, 0);
+  EXPECT_EQ(off_timers.Count("I.Intercept"), 0);
+}
+
 TEST(MultiLayerModelTest, PosteriorsAreValidProbabilities) {
   const CompiledMatrix matrix = BuildSyntheticMatrix(SyntheticConfig{});
   const auto result = MultiLayerModel::Run(matrix, TestConfig());

@@ -1,9 +1,9 @@
 // Reduction determinism: the blocked reductions behind every served score
 // must be a pure function of the data — invariant to the executor's thread
-// count, to ParallelFor chunking, and to the kernel kind. Plus golden score
-// pins on one fixed corpus, asserted on BOTH kernel kinds, so a silent
-// change to the summation tree (lane count, combine order, block size)
-// fails loudly instead of drifting every score the system serves.
+// count, to ParallelFor chunking, and to the kernel kind; those tests
+// compare exact bits. Plus golden score pins on one fixed corpus, asserted
+// on BOTH kernel kinds to within 1e-9, so a change that moves served
+// scores fails instead of drifting silently.
 #include "dataflow/parallel.h"
 
 #include <gtest/gtest.h>
