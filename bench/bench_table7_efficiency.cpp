@@ -31,7 +31,6 @@
 #include "bench/bench_json.h"
 #include "kbt/kbt.h"
 #include "kernels/kernel_kind.h"
-#include "kernels/kernels.h"
 
 namespace {
 
@@ -364,9 +363,7 @@ int main(int argc, char** argv) {
                        exp::TablePrinter::Fmt(scalar_kernel.em_pass_seconds, 6),
                        exp::TablePrinter::Fmt(scalar_kernel.em_pass_gbps, 3),
                        "1.000"});
-  kernel_table.AddRow({std::string("vectorized (") +
-                           std::string(kernels::IsaName(kernels::ActiveIsa())) +
-                           ")",
+  kernel_table.AddRow({"vectorized",
                        exp::TablePrinter::Fmt(vector_kernel.triple_pr_seconds,
                                               6),
                        exp::TablePrinter::Fmt(vector_kernel.src_accu_seconds,
@@ -386,8 +383,6 @@ int main(int argc, char** argv) {
                      static_cast<double>(kv->corpus.num_pages()));
   writer.AddMetadata("corpus_observations",
                      static_cast<double>(kv->data.size()));
-  writer.AddMetadata("isa",
-                     std::string(kernels::IsaName(kernels::ActiveIsa())));
   writer.AddMetric("unit_seconds", unit, "seconds");
   writer.AddMetric("em_pass_speedup", em_speedup, "ratio");
   writer.AddMetric("intercept_sweeps_per_iteration", sweeps_per_iteration,
@@ -405,7 +400,6 @@ int main(int argc, char** argv) {
   std::snprintf(
       kernels_buf, sizeof(kernels_buf),
       "{\n"
-      "    \"isa\": \"%s\",\n"
       "    \"num_slots\": %zu,\n"
       "    \"scalar_reference\": {\"em_pass_seconds_per_iter\": %.6f, "
       "\"em_pass_gbps\": %.3f, \"triple_pr_seconds_per_iter\": %.6f, "
@@ -427,7 +421,6 @@ int main(int argc, char** argv) {
       "per slot) and the precompiled value grouping (one exp per distinct "
       "value instead of one per slot)\"\n"
       "  }",
-      std::string(kernels::IsaName(kernels::ActiveIsa())).c_str(),
       scalar_kernel.num_slots, scalar_kernel.em_pass_seconds,
       scalar_kernel.em_pass_gbps, scalar_kernel.triple_pr_seconds,
       scalar_kernel.src_accu_seconds, vector_kernel.em_pass_seconds,

@@ -50,6 +50,15 @@ textually over src/ and include/:
                      baseline is empty and stays empty (the ratchet only
                      tightens).
 
+  portable-kernels   No ISA intrinsics or per-ISA dispatch in src/ or
+                     include/: no <immintrin.h> / <arm_neon.h>, no
+                     __attribute__((target(...))) and no
+                     __builtin_cpu_supports. The EM kernels are one portable
+                     program under the 4-lane reduction contract
+                     (src/kernels/kernels.h); a second, hand-vectorized copy
+                     of a loop is code the parity suite must keep equal and
+                     that measured no faster.
+
 A finding can be waived on its own line (or the line above) with
     // kbt-lint: allow(<rule>) -- <justification>
 Use sparingly; the waiver text is grep-able review surface.
@@ -141,6 +150,16 @@ OBS_TIMING_RE = re.compile(r"\bStopwatch\b|common/stopwatch\.h")
 # ratchet only tightens — new entries are not accepted.
 OBS_TIMING_BASELINE: set[str] = set()
 
+# --- rule: portable-kernels -------------------------------------------------
+
+PORTABLE_KERNEL_PATTERNS = [
+    (re.compile(r"#\s*include\s+<(?:immintrin|arm_neon)\.h>"),
+     "ISA intrinsics header"),
+    (re.compile(r"__attribute__\s*\(\(\s*target\b"),
+     "per-function ISA target attribute"),
+    (re.compile(r"__builtin_cpu_supports\b"), "runtime ISA dispatch"),
+]
+
 # --- rule: unordered-iter ---------------------------------------------------
 
 UNORDERED_DECL_RE = re.compile(
@@ -191,6 +210,7 @@ class Linter:
             return
         if rel not in SYNC_ALLOWLIST:
             self.check_raw_sync(path, code_lines, raw_lines)
+        self.check_portable_kernels(path, code_lines, raw_lines)
         if any(rel.startswith(d + "/") for d in DETERMINISM_DIRS):
             self.check_determinism(path, code_lines, raw_lines)
             self.check_unordered_iteration(path, code_lines, raw_lines)
@@ -208,6 +228,16 @@ class Linter:
                         "raw-sync", path, i,
                         f"{what}: use kbt::Mutex/MutexLock/CondVar from "
                         "common/mutex.h (public headers: kbt/sync.h)",
+                        raw_lines)
+
+    def check_portable_kernels(self, path, code_lines, raw_lines) -> None:
+        for i, line in enumerate(code_lines, 1):
+            for pattern, what in PORTABLE_KERNEL_PATTERNS:
+                if pattern.search(line):
+                    self.report(
+                        "portable-kernels", path, i,
+                        f"{what}: keep the kernels portable C++ under the "
+                        "4-lane contract in src/kernels/kernels.h",
                         raw_lines)
 
     def check_metric_naming(self, path, code_lines, raw_lines) -> None:

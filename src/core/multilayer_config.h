@@ -120,9 +120,9 @@ struct MultiLayerConfig {
   double max_probability = 1.0 - 1e-4;
 
   // ---- Kernel selection ----
-  /// Which EM inner-loop implementation runs the E/M passes. Both kinds are
-  /// bit-for-bit identical (see src/kernels/kernels.h); scalar_reference is
-  /// the always-compiled oracle the parity suite checks the vectorized path
+  /// Which EM inner-loop program runs the E/M passes. Both kinds are
+  /// bit-for-bit identical (see src/kernels/kernel_kind.h); scalar_reference
+  /// is the oracle the parity suite checks the staged (vectorized) path
   /// against.
   kernels::Kind kernel = kernels::DefaultKind();
 };

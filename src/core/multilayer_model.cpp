@@ -2,20 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
-#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/math.h"
 #include "common/mutex.h"
+#include "core/value_accuracy_pass.h"
 #include "kernels/kernels.h"
 
 namespace kbt::core {
 
 namespace {
 
+using dataflow::ForGroups;
+using dataflow::ForRange;
+using dataflow::TimeStage;
 using extract::CompiledMatrix;
 using extract::ExtractorScope;
 using extract::kAnyScope;
@@ -145,32 +147,6 @@ class ScopeTable {
   const ScopeIndex& index_;
   std::vector<double> bucket_;
 };
-
-/// Times the enclosing block under `stage` when `timers` is set.
-std::unique_ptr<dataflow::StageTimers::Scope> TimeStage(
-    dataflow::StageTimers* timers, const char* stage) {
-  if (timers == nullptr) return nullptr;
-  return std::make_unique<dataflow::StageTimers::Scope>(*timers, stage);
-}
-
-/// Serial fallbacks when no executor is supplied.
-void ForRange(dataflow::Executor* ex, size_t n,
-              const std::function<void(size_t, size_t)>& fn) {
-  if (ex != nullptr) {
-    ex->ParallelForRanges(n, fn);
-  } else if (n > 0) {
-    fn(0, n);
-  }
-}
-
-void ForGroups(dataflow::Executor* ex, size_t n,
-               const std::function<void(size_t)>& fn) {
-  if (ex != nullptr) {
-    ex->ParallelForGroups(n, fn);
-  } else {
-    for (size_t g = 0; g < n; ++g) fn(g);
-  }
-}
 
 }  // namespace
 
@@ -341,16 +317,8 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
   }
 
   // ---- Support flags (static: structure does not change) ----
-  r.source_supported.assign(num_sources, 0);
-  for (uint32_t w = 0; w < num_sources; ++w) {
-    const auto [b, e] = matrix.SourceSlots(w);
-    const bool trusted =
-        !initial.source_trusted.empty() && initial.source_trusted[w] != 0;
-    r.source_supported[w] =
-        (trusted || static_cast<int>(e - b) >= config.min_source_support)
-            ? 1
-            : 0;
-  }
+  r.source_supported = SupportedSources(matrix, config.min_source_support,
+                                        initial.source_trusted);
   r.extractor_supported.assign(num_groups, 0);
   for (uint32_t g = 0; g < num_groups; ++g) {
     const auto [b, e] = matrix.ExtractorEdges(g);
@@ -359,34 +327,9 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
   }
 
   // ---- Effective confidence per extraction edge (Section 3.5) ----
-  // The optional extraction weight multiplies in *after* the thresholding
-  // branch so decay also scales thresholded (0/1) confidences; a null
-  // pointer leaves every edge untouched (bit-for-bit the unweighted path).
-  std::vector<float> conf(matrix.num_extractions());
-  for (size_t e = 0; e < conf.size(); ++e) {
-    const float raw = matrix.ext_conf()[e];
-    conf[e] = config.use_confidence_weights
-                  ? raw
-                  : (raw > config.confidence_threshold ? 1.0f : 0.0f);
-    if (extraction_weights != nullptr) {
-      conf[e] *= (*extraction_weights)[e];
-    }
-  }
-
-  // ---- POPACCU empirical value popularity per slot ----
-  std::vector<double> slot_popularity;
-  if (config.value_model == ValueModel::kPopAccu) {
-    slot_popularity.resize(num_slots, 0.0);
-    for (size_t i = 0; i < num_items; ++i) {
-      const auto [b, e] = matrix.ItemSlots(i);
-      std::unordered_map<uint32_t, double> counts;
-      for (uint32_t s = b; s < e; ++s) counts[matrix.slot_value(s)] += 1.0;
-      const double total = static_cast<double>(e - b);
-      for (uint32_t s = b; s < e; ++s) {
-        slot_popularity[s] = counts[matrix.slot_value(s)] / total;
-      }
-    }
-  }
+  const std::vector<float> conf =
+      EffectiveConfidence(matrix, config.use_confidence_weights,
+                          config.confidence_threshold, extraction_weights);
 
   // ---- Latent state ----
   r.slot_correct_prob.assign(num_slots, 0.5);
@@ -425,63 +368,24 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
     }
   };
 
-  // ---- Kernel streams ----
-  const kernels::Kind kind = config.kernel;
-  const bool vectorized = kind == kernels::Kind::kVectorized;
+  const bool vectorized = config.kernel == kernels::Kind::kVectorized;
 
-  // Stage II gate: source support only (structure is static).
+  // Stages II and III. A slot votes when its source is supported (the
+  // structure is static).
   std::vector<uint8_t> covered_mask(num_slots, 0);
   for (size_t s = 0; s < num_slots; ++s) {
     covered_mask[s] = r.source_supported[matrix.slot_source(s)];
   }
-
-  // The staged E step memoizes one SourceVote per source; that needs one n
-  // shared by all items (given by the override, or by all schema n's
-  // agreeing — the common case). Otherwise the vectorized kind falls back
-  // to per-slot votes.
-  int uniform_n = config.num_false_override >= 1 ? config.num_false_override
-                                                 : -1;
-  if (uniform_n < 1 && num_items > 0) {
-    uniform_n = matrix.item_num_false(0);
-    for (size_t i = 1; i < num_items; ++i) {
-      if (matrix.item_num_false(i) != uniform_n) {
-        uniform_n = -1;
-        break;
-      }
-    }
-  }
-  const bool use_staged = vectorized && uniform_n >= 1;
-
-  std::vector<double> support_mask;
-  std::vector<double> log_pop;
-  std::vector<double> src_vote;
-  std::vector<double> wc_stream;
-  std::vector<uint32_t> slot_vi;
-  std::vector<uint32_t> item_num_values;
-  if (use_staged) {
-    support_mask.resize(num_slots);
-    for (size_t s = 0; s < num_slots; ++s) {
-      support_mask[s] = covered_mask[s] != 0 ? 1.0 : 0.0;
-    }
-    if (config.value_model == ValueModel::kPopAccu) {
-      log_pop.resize(num_slots);
-      for (size_t s = 0; s < num_slots; ++s) {
-        log_pop[s] = SafeLog(slot_popularity[s]);
-      }
-    }
-    src_vote.resize(num_sources, 0.0);
-    if (!config.weighted_value_votes) wc_stream.resize(num_slots, 0.0);
-    // The value grouping is a pure function of the static slot layout:
-    // discover it once here instead of per item, per iteration.
-    slot_vi.resize(num_slots);
-    item_num_values.resize(num_items);
-    kernels::EmScratch vi_scratch;
-    for (size_t i = 0; i < num_items; ++i) {
-      const auto [b, e] = matrix.ItemSlots(i);
-      item_num_values[i] = kernels::BuildValueIndex(
-          b, e, matrix.slot_values().data(), slot_vi.data(), &vi_scratch);
-    }
-  }
+  ValueAccuracyPass value_pass(matrix, config.value_model,
+                               config.num_false_override, config.kernel,
+                               std::move(covered_mask));
+  // Eq. 25 weights each vote by p(C=1|X); without weighted_value_votes it
+  // takes the MAP threshold of that stream (Eq. 27 in Stage III).
+  std::vector<double> map_weight;
+  if (!config.weighted_value_votes) map_weight.resize(num_slots);
+  const double* value_weight = config.weighted_value_votes
+                                   ? r.slot_correct_prob.data()
+                                   : map_weight.data();
 
   Mutex delta_mutex;
   // The calibration intercept. Each iteration's solve starts from the
@@ -527,8 +431,7 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
               ++s2;
             }
             scratch.edge_terms.resize(ee - eb);
-            kernels::StageEdgeTerms(kind, conf.data(),
-                                    matrix.ext_group().data(),
+            kernels::StageEdgeTerms(conf.data(), matrix.ext_group().data(),
                                     net_vote.data(), eb, ee,
                                     scratch.edge_terms.data());
             for (; s < s2; ++s) {
@@ -593,135 +496,28 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
     // ============ Stage II: triple truth p(V_d|X), Eqs. 21/25 ============
     {
       const auto t = TimeStage(timers, "II.TriplePr");
-      if (use_staged) {
-        // Per-iteration memo streams: one SourceVote (or log-odds) per
-        // source, and the per-slot correctness weight (Eq. 25 soft weight,
-        // or its MAP threshold).
-        if (config.value_model == ValueModel::kAccu) {
-          for (uint32_t w = 0; w < num_sources; ++w) {
-            src_vote[w] = SourceVote(r.source_accuracy[w], uniform_n);
-          }
-        } else {
-          for (uint32_t w = 0; w < num_sources; ++w) {
-            const double a = ClampProbability(r.source_accuracy[w]);
-            src_vote[w] = std::log(a / (1.0 - a));
-          }
+      if (!config.weighted_value_votes) {
+        for (size_t s = 0; s < num_slots; ++s) {
+          map_weight[s] = r.slot_correct_prob[s] > 0.5 ? 1.0 : 0.0;
         }
-        const double* wc_ptr = r.slot_correct_prob.data();
-        if (!config.weighted_value_votes) {
-          for (size_t s = 0; s < num_slots; ++s) {
-            wc_stream[s] = r.slot_correct_prob[s] > 0.5 ? 1.0 : 0.0;
-          }
-          wc_ptr = wc_stream.data();
-        }
-        ForRange(executor, num_items, [&](size_t begin, size_t end) {
-          double local_delta = 0.0;
-          kernels::EmScratch scratch;
-          size_t i = begin;
-          while (i < end) {
-            const uint32_t slot_b = matrix.ItemSlots(i).first;
-            uint32_t slot_e = matrix.ItemSlots(i).second;
-            size_t j = i + 1;
-            while (j < end) {
-              const uint32_t je = matrix.ItemSlots(j).second;
-              if (je - slot_b > kernels::kStageBlock) break;
-              slot_e = je;
-              ++j;
-            }
-            scratch.votes.resize(slot_e - slot_b);
-            if (config.value_model == ValueModel::kAccu) {
-              kernels::StageVotesMasked(
-                  kind, support_mask.data(), wc_ptr,
-                  matrix.slot_sources().data(), src_vote.data(), slot_b,
-                  slot_e, scratch.votes.data());
-            } else {
-              kernels::StageVotesMaskedSub(
-                  kind, support_mask.data(), wc_ptr,
-                  matrix.slot_sources().data(), src_vote.data(),
-                  log_pop.data(), slot_b, slot_e, scratch.votes.data());
-            }
-            for (; i < j; ++i) {
-              const auto [b, e] = matrix.ItemSlots(i);
-              local_delta = std::max(
-                  local_delta,
-                  kernels::ItemValuePassIndexed(
-                      b, e, scratch.votes.data(), slot_b,
-                      covered_mask.data(), slot_vi.data(),
-                      item_num_values[i], uniform_n,
-                      r.slot_value_prob.data(), r.slot_covered.data(),
-                      &r.item_unobserved_value_prob[i], &scratch));
-            }
-          }
-          note_delta(local_delta);
-        });
-      } else {
-        ForRange(executor, num_items, [&](size_t begin, size_t end) {
-          double local_delta = 0.0;
-          kernels::EmScratch scratch;
-          for (size_t i = begin; i < end; ++i) {
-            const auto [b, e] = matrix.ItemSlots(i);
-            const int n = config.num_false_override >= 1
-                              ? config.num_false_override
-                              : matrix.item_num_false(i);
-            scratch.votes.resize(e - b);
-            for (uint32_t s = b; s < e; ++s) {
-              const uint32_t w = matrix.slot_source(s);
-              double vote = 0.0;
-              if (r.source_supported[w]) {
-                const double wc =
-                    config.weighted_value_votes
-                        ? r.slot_correct_prob[s]
-                        : (r.slot_correct_prob[s] > 0.5 ? 1.0 : 0.0);
-                if (config.value_model == ValueModel::kAccu) {
-                  vote = wc * SourceVote(r.source_accuracy[w], n);
-                } else {
-                  const double a = ClampProbability(r.source_accuracy[w]);
-                  vote = wc * (std::log(a / (1.0 - a)) -
-                               SafeLog(slot_popularity[s]));
-                }
-              }
-              scratch.votes[s - b] = vote;
-            }
-            local_delta = std::max(
-                local_delta,
-                kernels::ItemValuePass(
-                    kind, b, e, scratch.votes.data(), b, covered_mask.data(),
-                    matrix.slot_values().data(), n, r.slot_value_prob.data(),
-                    r.slot_covered.data(), &r.item_unobserved_value_prob[i],
-                    &scratch));
-          }
-          note_delta(local_delta);
-        });
       }
+      note_delta(value_pass.TriplePr(value_weight, r.source_accuracy, executor,
+                                     &r.slot_value_prob, &r.slot_covered,
+                                     &r.item_unobserved_value_prob));
     }
 
     // ============ Stage III: source accuracy A_w, Eq. 27/28 ============
     if (config.update_source_accuracy) {
       const auto t = TimeStage(timers, "III.SrcAccu");
-      ForGroups(executor, num_sources, [&](size_t w) {
-        if (!r.source_supported[w]) return;  // Stays at initial value.
-        const auto [b, e] = matrix.SourceSlots(static_cast<uint32_t>(w));
-        const uint32_t* idx = matrix.source_slot_index().data() + b;
-        // Eq. 28 weights every slot by p(C=1|X); Eq. 27 is the MAP variant
-        // (only C-hat = 1 slots count, as a masked tally so the lane
-        // assignment stays positional across kernel kinds).
-        const kernels::Tally tally =
-            config.weighted_value_votes
-                ? kernels::TallyIndexed(kind, idx, e - b,
-                                        r.slot_correct_prob.data(),
-                                        r.slot_value_prob.data())
-                : kernels::TallyMap(kind, idx, e - b,
-                                    r.slot_correct_prob.data(),
-                                    r.slot_value_prob.data());
-        if (tally.den > 1e-12) {
-          r.source_accuracy[w] = clampP(tally.num / tally.den);
-        }
-      });
+      value_pass.SrcAccu(value_weight, r.slot_value_prob, r.source_supported,
+                         config.min_probability, config.max_probability,
+                         executor, &r.source_accuracy);
     }
 
     // ---- Prior update for alpha (Eq. 26), Section 3.3.4 ----
     if (config.update_alpha &&
         iteration >= config.alpha_update_start_iteration) {
+      const auto t = TimeStage(timers, "Alpha");
       ForRange(executor, num_slots, [&](size_t begin, size_t end) {
         for (size_t s = begin; s < end; ++s) {
           const double v = r.slot_value_prob[s];
@@ -745,7 +541,7 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
         if (!r.extractor_supported[g]) return;
         const auto [b, e] = matrix.ExtractorEdges(static_cast<uint32_t>(g));
         const kernels::Tally tally = kernels::TallyEdges(
-            kind, matrix.extractor_edge_index().data() + b, e - b, conf.data(),
+            matrix.extractor_edge_index().data() + b, e - b, conf.data(),
             matrix.ext_slots().data(), r.slot_correct_prob.data());
         const double sum_joint = tally.num;
         const double sum_conf = tally.den;

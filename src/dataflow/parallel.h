@@ -81,6 +81,15 @@ class Executor {
 /// do not supply their own.
 Executor& DefaultExecutor();
 
+/// `ex->ParallelForRanges(n, fn)`, or `fn(0, n)` on the calling thread when
+/// `ex` is null (and nothing when n is 0).
+void ForRange(Executor* ex, size_t n,
+              const std::function<void(size_t, size_t)>& fn);
+
+/// `ex->ParallelForGroups(n, fn)`, or `fn(g)` for g in [0, n) in order on
+/// the calling thread when `ex` is null.
+void ForGroups(Executor* ex, size_t n, const std::function<void(size_t)>& fn);
+
 /// Fixed block size of BlockedSum. Part of its determinism contract: the
 /// partial-sum boundaries never move, whatever the executor looks like.
 inline constexpr size_t kBlockedSumBlock = 4096;

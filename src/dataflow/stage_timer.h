@@ -2,6 +2,7 @@
 #define KBT_DATAFLOW_STAGE_TIMER_H_
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,8 @@ namespace kbt::dataflow {
 ///    "I.ExtCorr" (which still covers the whole stage);
 ///  * "Scopes" — the multi-layer vote refresh and slot-mass loop, the scope
 ///    bookkeeping between the stages (twice per iteration);
+///  * "Alpha" — the multi-layer prior update of Eq. 26, once per iteration
+///    from `alpha_update_start_iteration` on;
 ///  * "SL.TriplePr", "SL.SrcAccu" — the single-layer E and M steps.
 /// Nested labels overlap their parent, so do not sum every entry.
 class StageTimers {
@@ -75,6 +78,14 @@ class StageTimers {
   mutable Mutex mutex_;
   std::map<std::string, Entry> entries_ KBT_GUARDED_BY(mutex_);
 };
+
+/// Times the enclosing block under `stage` when `timers` is set: hold the
+/// returned scope for the block's duration.
+inline std::unique_ptr<StageTimers::Scope> TimeStage(StageTimers* timers,
+                                                     const char* stage) {
+  if (timers == nullptr) return nullptr;
+  return std::make_unique<StageTimers::Scope>(*timers, stage);
+}
 
 }  // namespace kbt::dataflow
 

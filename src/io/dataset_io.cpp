@@ -26,6 +26,27 @@ Status ExpectHeader(std::istream& in, const char* expected) {
   return Status::OK();
 }
 
+/// The byte count of the freshly opened `in`, rewound to its start after.
+/// It bounds every id the file may name: the writers emit ids densely from
+/// 0, one line per id, so every file they write is longer than its largest
+/// id.
+uint64_t FileBytes(std::ifstream& in) {
+  in.seekg(0, std::ios::end);
+  const std::streamoff size = in.tellg();
+  in.seekg(0, std::ios::beg);
+  return size > 0 ? static_cast<uint64_t>(size) : 0;
+}
+
+/// Rejects an id past the file's byte count before it sizes an allocation.
+Status CheckIdBound(uint64_t id, uint64_t file_bytes, const char* what,
+                    size_t line_no) {
+  if (id <= file_bytes) return Status::OK();
+  return Status::InvalidArgument(
+      std::string(what) + " id " + std::to_string(id) + " at line " +
+      std::to_string(line_no) + " exceeds the file's " +
+      std::to_string(file_bytes) + " bytes");
+}
+
 Status CheckPredicateCovered(const extract::RawDataset& dataset,
                              kb::DataItemId item, const std::string& what) {
   const kb::PredicateId predicate = kb::DataItemPredicate(item);
@@ -222,6 +243,7 @@ Status WriteRawDataset(const std::string& path,
 StatusOr<extract::RawDataset> ReadRawDataset(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::NotFound("cannot open " + path);
+  const uint64_t file_bytes = FileBytes(in);
   KBT_RETURN_IF_ERROR(ExpectHeader(in, kDatasetHeader));
 
   extract::RawDataset dataset;
@@ -243,8 +265,13 @@ StatusOr<extract::RawDataset> ReadRawDataset(const std::string& path) {
       size_t pred = 0;
       int n = 0;
       fields >> pred >> n;
-      if (!fields.fail() && pred < nfalse_declared.size() &&
-          nfalse_declared[pred]) {
+      if (fields.fail()) {
+        return Status::InvalidArgument("malformed line " +
+                                       std::to_string(line_no));
+      }
+      KBT_RETURN_IF_ERROR(
+          CheckIdBound(pred, file_bytes, "nfalse predicate", line_no));
+      if (pred < nfalse_declared.size() && nfalse_declared[pred]) {
         // Silently keeping the last duplicate would make the domain size —
         // and with it every inference vote — depend on line order.
         return Status::InvalidArgument(
@@ -362,6 +389,7 @@ Status WriteKbtScores(const std::string& path,
 StatusOr<std::vector<core::KbtScore>> ReadKbtScores(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::NotFound("cannot open " + path);
+  const uint64_t file_bytes = FileBytes(in);
   KBT_RETURN_IF_ERROR(ExpectHeader(in, kScoresHeader));
   std::vector<core::KbtScore> out;
   std::string line;
@@ -377,6 +405,7 @@ StatusOr<std::vector<core::KbtScore>> ReadKbtScores(const std::string& path) {
       return Status::InvalidArgument("malformed line " +
                                      std::to_string(line_no));
     }
+    KBT_RETURN_IF_ERROR(CheckIdBound(site, file_bytes, "website", line_no));
     if (out.size() <= site) out.resize(site + 1);
     out[site] = score;
   }

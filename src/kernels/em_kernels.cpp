@@ -4,16 +4,53 @@
 #include <cstdint>
 
 #include "common/math.h"
-#include "kernels/em_kernels_impl.h"
 #include "kernels/kernel_kind.h"
 #include "kernels/kernels.h"
 
+/// Tells the auto-vectorizer an elementwise staging loop is dependence-free.
+/// Staging has no reduction to reassociate and the module compiles with
+/// -ffp-contract=off, so vectorizing these loops cannot change results.
+#if defined(_OPENMP)
+#define KBT_KERNELS_SIMD_LOOP _Pragma("omp simd")
+#elif defined(__clang__)
+#define KBT_KERNELS_SIMD_LOOP _Pragma("clang loop vectorize(enable)")
+#elif defined(__GNUC__)
+#define KBT_KERNELS_SIMD_LOOP _Pragma("GCC ivdep")
+#else
+#define KBT_KERNELS_SIMD_LOOP
+#endif
+
 namespace kbt::kernels {
 
-namespace internal {
+namespace {
 
-Tally TallyIndexedScalar(const uint32_t* idx, size_t n, const double* w,
-                         const double* p) {
+/// The contract's lane combine: (l0 + l1) + (l2 + l3).
+double CombineLanes(const double lanes[kTallyLanes]) {
+  return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+}
+
+}  // namespace
+
+Kind DefaultKind() {
+#if defined(KBT_KERNELS_DEFAULT_SCALAR)
+  return Kind::kScalarReference;
+#else
+  return Kind::kVectorized;
+#endif
+}
+
+std::string_view KindName(Kind kind) {
+  switch (kind) {
+    case Kind::kScalarReference:
+      return "scalar_reference";
+    case Kind::kVectorized:
+      return "vectorized";
+  }
+  return "unknown";
+}
+
+Tally TallyIndexed(const uint32_t* idx, size_t n, const double* w,
+                   const double* p) {
   double num[kTallyLanes] = {0.0, 0.0, 0.0, 0.0};
   double den[kTallyLanes] = {0.0, 0.0, 0.0, 0.0};
   size_t k = 0;
@@ -32,30 +69,8 @@ Tally TallyIndexedScalar(const uint32_t* idx, size_t n, const double* w,
   return Tally{CombineLanes(num), CombineLanes(den)};
 }
 
-Tally TallyMapScalar(const uint32_t* idx, size_t n, const double* c,
-                     const double* p) {
-  double num[kTallyLanes] = {0.0, 0.0, 0.0, 0.0};
-  double den[kTallyLanes] = {0.0, 0.0, 0.0, 0.0};
-  size_t k = 0;
-  for (; k + kTallyLanes <= n; k += kTallyLanes) {
-    for (size_t j = 0; j < kTallyLanes; ++j) {
-      const uint32_t s = idx[k + j];
-      const double m = c[s] > 0.5 ? 1.0 : 0.0;
-      num[j] += m * p[s];
-      den[j] += m;
-    }
-  }
-  for (size_t j = 0; k < n; ++k, ++j) {
-    const uint32_t s = idx[k];
-    const double m = c[s] > 0.5 ? 1.0 : 0.0;
-    num[j] += m * p[s];
-    den[j] += m;
-  }
-  return Tally{CombineLanes(num), CombineLanes(den)};
-}
-
-Tally TallyEdgesScalar(const uint32_t* edges, size_t n, const float* conf,
-                       const uint32_t* edge_slot, const double* c) {
+Tally TallyEdges(const uint32_t* edges, size_t n, const float* conf,
+                 const uint32_t* edge_slot, const double* c) {
   double num[kTallyLanes] = {0.0, 0.0, 0.0, 0.0};
   double den[kTallyLanes] = {0.0, 0.0, 0.0, 0.0};
   size_t k = 0;
@@ -76,267 +91,34 @@ Tally TallyEdgesScalar(const uint32_t* edges, size_t n, const float* conf,
   return Tally{CombineLanes(num), CombineLanes(den)};
 }
 
-void StageVotesScalar(const double* weight, const uint32_t* index,
-                      const double* table, size_t begin, size_t end,
-                      double* out) {
-  KBT_KERNELS_SIMD_LOOP
-  for (size_t i = begin; i < end; ++i) {
-    out[i - begin] = weight[i] * table[index[i]];
-  }
-}
-
-void StageVotesMaskedScalar(const double* mask, const double* weight,
-                            const uint32_t* index, const double* table,
-                            size_t begin, size_t end, double* out) {
+void StageVotesMasked(const double* mask, const double* weight,
+                      const uint32_t* index, const double* table, size_t begin,
+                      size_t end, double* out) {
   KBT_KERNELS_SIMD_LOOP
   for (size_t i = begin; i < end; ++i) {
     out[i - begin] = (mask[i] * weight[i]) * table[index[i]];
   }
 }
 
-void StageVotesSubScalar(const double* weight, const uint32_t* index,
-                         const double* table, const double* sub, size_t begin,
-                         size_t end, double* out) {
-  KBT_KERNELS_SIMD_LOOP
-  for (size_t i = begin; i < end; ++i) {
-    out[i - begin] = weight[i] * (table[index[i]] - sub[i]);
-  }
-}
-
-void StageVotesMaskedSubScalar(const double* mask, const double* weight,
-                               const uint32_t* index, const double* table,
-                               const double* sub, size_t begin, size_t end,
-                               double* out) {
+void StageVotesMaskedSub(const double* mask, const double* weight,
+                         const uint32_t* index, const double* table,
+                         const double* sub, size_t begin, size_t end,
+                         double* out) {
   KBT_KERNELS_SIMD_LOOP
   for (size_t i = begin; i < end; ++i) {
     out[i - begin] = (mask[i] * weight[i]) * (table[index[i]] - sub[i]);
   }
 }
 
-void StageEdgeTermsScalar(const float* conf, const uint32_t* group,
-                          const double* net, size_t begin, size_t end,
-                          double* out) {
+void StageEdgeTerms(const float* conf, const uint32_t* group,
+                    const double* net, size_t begin, size_t end, double* out) {
   KBT_KERNELS_SIMD_LOOP
   for (size_t e = begin; e < end; ++e) {
     out[e - begin] = static_cast<double>(conf[e]) * net[group[e]];
   }
 }
 
-namespace {
-
-Isa DetectIsa() {
-#if defined(KBT_KERNELS_HAVE_AVX2)
-  if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
-#endif
-#if defined(KBT_KERNELS_HAVE_NEON)
-  return Isa::kNeon;
-#else
-  return Isa::kScalar;
-#endif
-}
-
-}  // namespace
-}  // namespace internal
-
-Isa ActiveIsa() {
-  static const Isa isa = internal::DetectIsa();
-  return isa;
-}
-
-std::string_view IsaName(Isa isa) {
-  switch (isa) {
-    case Isa::kScalar:
-      return "scalar";
-    case Isa::kAvx2:
-      return "avx2";
-    case Isa::kNeon:
-      return "neon";
-  }
-  return "unknown";
-}
-
-Kind DefaultKind() {
-#if defined(KBT_KERNELS_DEFAULT_SCALAR)
-  return Kind::kScalarReference;
-#else
-  return Kind::kVectorized;
-#endif
-}
-
-std::string_view KindName(Kind kind) {
-  switch (kind) {
-    case Kind::kScalarReference:
-      return "scalar_reference";
-    case Kind::kVectorized:
-      return "vectorized";
-  }
-  return "unknown";
-}
-
-namespace {
-
-bool UseVector(Kind kind, Isa isa) {
-  return kind == Kind::kVectorized && isa != Isa::kScalar;
-}
-
-}  // namespace
-
-Tally TallyIndexed(Kind kind, const uint32_t* idx, size_t n, const double* w,
-                   const double* p) {
-  const Isa isa = ActiveIsa();
-  if (UseVector(kind, isa)) {
-#if defined(KBT_KERNELS_HAVE_AVX2)
-    if (isa == Isa::kAvx2) return internal::TallyIndexedAvx2(idx, n, w, p);
-#endif
-#if defined(KBT_KERNELS_HAVE_NEON)
-    if (isa == Isa::kNeon) return internal::TallyIndexedNeon(idx, n, w, p);
-#endif
-  }
-  return internal::TallyIndexedScalar(idx, n, w, p);
-}
-
-Tally TallyMap(Kind kind, const uint32_t* idx, size_t n, const double* c,
-               const double* p) {
-  const Isa isa = ActiveIsa();
-  if (UseVector(kind, isa)) {
-#if defined(KBT_KERNELS_HAVE_AVX2)
-    if (isa == Isa::kAvx2) return internal::TallyMapAvx2(idx, n, c, p);
-#endif
-#if defined(KBT_KERNELS_HAVE_NEON)
-    if (isa == Isa::kNeon) return internal::TallyMapNeon(idx, n, c, p);
-#endif
-  }
-  return internal::TallyMapScalar(idx, n, c, p);
-}
-
-Tally TallyEdges(Kind kind, const uint32_t* edges, size_t n, const float* conf,
-                 const uint32_t* edge_slot, const double* c) {
-  const Isa isa = ActiveIsa();
-  if (UseVector(kind, isa)) {
-#if defined(KBT_KERNELS_HAVE_AVX2)
-    if (isa == Isa::kAvx2) {
-      return internal::TallyEdgesAvx2(edges, n, conf, edge_slot, c);
-    }
-#endif
-#if defined(KBT_KERNELS_HAVE_NEON)
-    if (isa == Isa::kNeon) {
-      return internal::TallyEdgesNeon(edges, n, conf, edge_slot, c);
-    }
-#endif
-  }
-  return internal::TallyEdgesScalar(edges, n, conf, edge_slot, c);
-}
-
-void StageVotes(Kind kind, const double* weight, const uint32_t* index,
-                const double* table, size_t begin, size_t end, double* out) {
-  const Isa isa = ActiveIsa();
-  if (UseVector(kind, isa)) {
-#if defined(KBT_KERNELS_HAVE_AVX2)
-    if (isa == Isa::kAvx2) {
-      internal::StageVotesAvx2(weight, index, table, begin, end, out);
-      return;
-    }
-#endif
-#if defined(KBT_KERNELS_HAVE_NEON)
-    if (isa == Isa::kNeon) {
-      internal::StageVotesNeon(weight, index, table, begin, end, out);
-      return;
-    }
-#endif
-  }
-  internal::StageVotesScalar(weight, index, table, begin, end, out);
-}
-
-void StageVotesMasked(Kind kind, const double* mask, const double* weight,
-                      const uint32_t* index, const double* table, size_t begin,
-                      size_t end, double* out) {
-  const Isa isa = ActiveIsa();
-  if (UseVector(kind, isa)) {
-#if defined(KBT_KERNELS_HAVE_AVX2)
-    if (isa == Isa::kAvx2) {
-      internal::StageVotesMaskedAvx2(mask, weight, index, table, begin, end,
-                                     out);
-      return;
-    }
-#endif
-#if defined(KBT_KERNELS_HAVE_NEON)
-    if (isa == Isa::kNeon) {
-      internal::StageVotesMaskedNeon(mask, weight, index, table, begin, end,
-                                     out);
-      return;
-    }
-#endif
-  }
-  internal::StageVotesMaskedScalar(mask, weight, index, table, begin, end, out);
-}
-
-void StageVotesSub(Kind kind, const double* weight, const uint32_t* index,
-                   const double* table, const double* sub, size_t begin,
-                   size_t end, double* out) {
-  const Isa isa = ActiveIsa();
-  if (UseVector(kind, isa)) {
-#if defined(KBT_KERNELS_HAVE_AVX2)
-    if (isa == Isa::kAvx2) {
-      internal::StageVotesSubAvx2(weight, index, table, sub, begin, end, out);
-      return;
-    }
-#endif
-#if defined(KBT_KERNELS_HAVE_NEON)
-    if (isa == Isa::kNeon) {
-      internal::StageVotesSubNeon(weight, index, table, sub, begin, end, out);
-      return;
-    }
-#endif
-  }
-  internal::StageVotesSubScalar(weight, index, table, sub, begin, end, out);
-}
-
-void StageVotesMaskedSub(Kind kind, const double* mask, const double* weight,
-                         const uint32_t* index, const double* table,
-                         const double* sub, size_t begin, size_t end,
-                         double* out) {
-  const Isa isa = ActiveIsa();
-  if (UseVector(kind, isa)) {
-#if defined(KBT_KERNELS_HAVE_AVX2)
-    if (isa == Isa::kAvx2) {
-      internal::StageVotesMaskedSubAvx2(mask, weight, index, table, sub, begin,
-                                        end, out);
-      return;
-    }
-#endif
-#if defined(KBT_KERNELS_HAVE_NEON)
-    if (isa == Isa::kNeon) {
-      internal::StageVotesMaskedSubNeon(mask, weight, index, table, sub, begin,
-                                        end, out);
-      return;
-    }
-#endif
-  }
-  internal::StageVotesMaskedSubScalar(mask, weight, index, table, sub, begin,
-                                      end, out);
-}
-
-void StageEdgeTerms(Kind kind, const float* conf, const uint32_t* group,
-                    const double* net, size_t begin, size_t end, double* out) {
-  const Isa isa = ActiveIsa();
-  if (UseVector(kind, isa)) {
-#if defined(KBT_KERNELS_HAVE_AVX2)
-    if (isa == Isa::kAvx2) {
-      internal::StageEdgeTermsAvx2(conf, group, net, begin, end, out);
-      return;
-    }
-#endif
-#if defined(KBT_KERNELS_HAVE_NEON)
-    if (isa == Isa::kNeon) {
-      internal::StageEdgeTermsNeon(conf, group, net, begin, end, out);
-      return;
-    }
-#endif
-  }
-  internal::StageEdgeTermsScalar(conf, group, net, begin, end, out);
-}
-
-double ItemValuePass(Kind kind, uint32_t slot_begin, uint32_t slot_end,
+double ItemValuePass(uint32_t slot_begin, uint32_t slot_end,
                      const double* votes, size_t votes_offset,
                      const uint8_t* covered_mask, const uint32_t* slot_values,
                      int num_false, double* slot_value_prob,
@@ -345,15 +127,8 @@ double ItemValuePass(Kind kind, uint32_t slot_begin, uint32_t slot_end,
   auto& values = scratch->values;
   auto& value_votes = scratch->value_votes;
   auto& log_terms = scratch->log_terms;
-  auto& slot_vi = scratch->slot_vi;
   values.clear();
   value_votes.clear();
-  // The vectorized kind remembers each slot's value index during the
-  // grouping scan so the write-back below can be a gather; the reference
-  // kind re-searches instead, keeping its program the verbatim pre-kernel
-  // model code.
-  const bool memo = kind == Kind::kVectorized;
-  if (memo) slot_vi.resize(slot_end - slot_begin);
   bool covered = false;
   for (uint32_t s = slot_begin; s < slot_end; ++s) {
     covered |= covered_mask[s] != 0;
@@ -366,7 +141,6 @@ double ItemValuePass(Kind kind, uint32_t slot_begin, uint32_t slot_end,
       values.push_back(v);
       value_votes.push_back(0.0);
     }
-    if (memo) slot_vi[s - slot_begin] = static_cast<uint32_t>(vi);
     value_votes[vi] += votes[s - votes_offset];
   }
 
@@ -382,25 +156,6 @@ double ItemValuePass(Kind kind, uint32_t slot_begin, uint32_t slot_end,
   }
 
   double delta = 0.0;
-  if (memo) {
-    // Vectorized write-back: exp once per DISTINCT value (in place over
-    // the vote accumulators), then gather per slot. Bit-identical to the
-    // reference — exp(value_votes[vi] - log_z) is the same expression on
-    // the same inputs — but the exp count drops from |slots| to |values|
-    // and the per-slot linear value re-search disappears.
-    for (size_t vi = 0; vi < value_votes.size(); ++vi) {
-      value_votes[vi] = std::exp(value_votes[vi] - log_z);
-    }
-    for (uint32_t s = slot_begin; s < slot_end; ++s) {
-      const double pv = value_votes[slot_vi[s - slot_begin]];
-      delta = std::max(delta, std::fabs(pv - slot_value_prob[s]));
-      slot_value_prob[s] = pv;
-      if (slot_covered != nullptr) slot_covered[s] = covered ? 1 : 0;
-    }
-    return delta;
-  }
-  // Reference write-back: re-search the value list and exp per slot — the
-  // naive, obviously-correct program the oracle is defined by.
   for (uint32_t s = slot_begin; s < slot_end; ++s) {
     const uint32_t v = slot_values[s];
     size_t vi = 0;
@@ -461,6 +216,8 @@ double ItemValuePassIndexed(uint32_t slot_begin, uint32_t slot_end,
     *item_unobserved = unobserved > 0 ? std::exp(-log_z) : 0.0;
   }
 
+  // exp once per DISTINCT value (in place over the vote accumulators), then
+  // a gather per slot.
   for (size_t vi = 0; vi < value_votes.size(); ++vi) {
     value_votes[vi] = std::exp(value_votes[vi] - log_z);
   }

@@ -6,19 +6,21 @@
 
 namespace kbt::kernels {
 
-/// Which implementation of the EM inner-loop kernels a model run uses.
-/// Both kinds execute the SAME float program — the deterministic blocked
-/// reduction contract (see kernels.h) pins the accumulation order — so
-/// their outputs are bit-for-bit identical; the parity suite in
-/// tests/kernels/ enforces that. The scalar reference is the oracle: a
-/// straightforward transcription of the paper's equations that is always
-/// compiled and never ISA-dispatched.
+/// Which program the EM model layers run their inner loops with. Both kinds
+/// compute the same float values — the tallies share one 4-lane program
+/// (see kernels.h), and every staged value is the reference's inline
+/// expression on the same inputs — so their outputs are bit-for-bit
+/// identical; the parity suite in tests/kernels/ enforces that. The scalar
+/// reference is the oracle: a straightforward transcription of the paper's
+/// equations.
 enum class Kind : uint8_t {
-  /// Naive per-slot loops, no staging, no SIMD. The testing oracle.
+  /// Naive per-slot loops: a vote per slot, the value grouping rediscovered
+  /// per item and per iteration, one exp per slot. The testing oracle.
   kScalarReference = 0,
-  /// Structure-of-arrays staging, cache-blocked sweeps, per-source vote
-  /// memoization and AVX2/NEON inner loops (scalar fallback when the ISA
-  /// is unavailable). Bit-for-bit equal to kScalarReference.
+  /// Structure-of-arrays staging in cache-sized blocks, per-source vote
+  /// memoization, per-group net votes and the precompiled value index. The
+  /// loops are portable C++ left to the compiler's auto-vectorizer.
+  /// Bit-for-bit equal to kScalarReference.
   kVectorized = 1,
 };
 

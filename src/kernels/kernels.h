@@ -3,39 +3,36 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "kernels/kernel_kind.h"
 
-/// kbt::kernels — vectorized, cache-blocked EM inner loops.
+/// kbt::kernels — cache-blocked EM inner loops, in portable C++.
 ///
 /// The 3-layer EM over the extraction cube (Dong et al., VLDB 2015, Sec. 4)
 /// spends its time in four loop shapes: staging per-slot vote streams
 /// (E step / Stage I), grouping votes per item, and weighted tallies over
 /// the per-source / per-extractor CSR index lists (M steps / Stage IV).
-/// This module implements those shapes twice — a scalar reference and an
-/// ISA-dispatched vectorized path — under one contract:
+/// The tallies and staging sweeps below are one program, run by both
+/// kernel kinds; the kinds differ only in how the model layers use them
+/// (see kernel_kind.h).
 ///
 /// DETERMINISTIC REDUCTION CONTRACT. Every tally accumulates into
 /// kTallyLanes independent accumulators, element k landing in lane
 /// k % kTallyLanes, and the lanes combine as (l0 + l1) + (l2 + l3). The
 /// lane count and combine order are part of the contract, NOT an
-/// implementation detail: a 4-wide SIMD vertical accumulation produces
-/// exactly this order, so the scalar reference and the AVX2/NEON paths
-/// execute the same float program and their results match bit for bit, on
-/// any thread count and any ISA. Changing kTallyLanes or the combine order
-/// is a semantic change to every score the system serves.
+/// implementation detail: they fix the summation tree, so a tally has the
+/// same bits on any thread count and any compiler that honours IEEE
+/// double arithmetic. Changing kTallyLanes or the combine order is a
+/// semantic change to every score the system serves.
 ///
-/// Staging kernels are elementwise (no reduction), so their parity needs
-/// only identical per-element arithmetic; none of them may be compiled
-/// with FP contraction (the build sets -ffp-contract=off on this module
-/// and on the model layers, so a fused multiply-add can never make the
-/// scalar and vector paths round differently).
+/// Staging kernels are elementwise (no reduction). None of the kernels may
+/// be compiled with FP contraction: the build sets -ffp-contract=off on
+/// this module and on the model layers, so a fused multiply-add can never
+/// round a staged product differently from the reference's inline one.
 namespace kbt::kernels {
 
-/// Lanes of the deterministic blocked tally (== 4 doubles: one AVX2
-/// register, two NEON registers). Part of the numeric contract.
+/// Lanes of the deterministic blocked tally. Part of the numeric contract.
 inline constexpr size_t kTallyLanes = 4;
 
 /// Cache-blocking unit for staged sweeps: slots/edges are staged and
@@ -43,16 +40,6 @@ inline constexpr size_t kTallyLanes = 4;
 /// stays in L1/L2. Purely a performance knob — block boundaries never
 /// affect results (staging is elementwise).
 inline constexpr size_t kStageBlock = 4096;
-
-/// Vector ISA the vectorized kind dispatches to at runtime.
-enum class Isa : uint8_t { kScalar = 0, kAvx2 = 1, kNeon = 2 };
-
-/// The ISA the vectorized kind resolves to on this machine (detected once;
-/// AVX2 via cpuid on x86-64, NEON unconditionally on aarch64).
-Isa ActiveIsa();
-
-/// Stable display name: "scalar" / "avx2" / "neon".
-std::string_view IsaName(Isa isa);
 
 /// A weighted tally: num = sum w*p, den = sum w (the shared shape of the
 /// paper's M steps, Eqs. 4/27/28/32).
@@ -68,57 +55,41 @@ struct Tally {
 /// num = sum_k w[idx[k]] * p[idx[k]], den = sum_k w[idx[k]] over the n-entry
 /// index list, in lane order. The per-source M-step tally: idx is the
 /// source's slot list, w the claim/correctness weights, p the value
-/// posteriors.
-Tally TallyIndexed(Kind kind, const uint32_t* idx, size_t n, const double* w,
+/// posteriors. Over a 0/1 weight stream it is the MAP tally of Eq. 27
+/// (0 * p and 1 * p are exact, so a masked slot adds +0.0 to its lane).
+Tally TallyIndexed(const uint32_t* idx, size_t n, const double* w,
                    const double* p);
-
-/// MAP tally (Eq. 27): num = sum_k [c[idx[k]] > 0.5] * p[idx[k]],
-/// den = sum_k [c[idx[k]] > 0.5]. Masked lanes add +0.0 (never skip), so
-/// lane assignment stays positional.
-Tally TallyMap(Kind kind, const uint32_t* idx, size_t n, const double* c,
-               const double* p);
 
 /// Extractor-quality tally (Eqs. 32/33): over the group's edge list,
 /// num = sum_k conf[e_k] * c[edge_slot[e_k]], den = sum_k conf[e_k], with
 /// conf widened float -> double before the multiply (exact).
-Tally TallyEdges(Kind kind, const uint32_t* edges, size_t n,
-                 const float* conf, const uint32_t* edge_slot,
-                 const double* c);
+Tally TallyEdges(const uint32_t* edges, size_t n, const float* conf,
+                 const uint32_t* edge_slot, const double* c);
 
 // ---------------------------------------------------------------------------
 // Elementwise staging sweeps (contiguous [begin, end) ranges)
 // ---------------------------------------------------------------------------
 
-/// out[i] = weight[i] * table[index[i]] for i in [begin, end). The E-step
-/// vote staging: weight is the per-slot claim/correctness stream, table the
-/// per-source vote memo. out is indexed relative to begin (out[0]
-/// corresponds to element `begin`).
-void StageVotes(Kind kind, const double* weight, const uint32_t* index,
-                const double* table, size_t begin, size_t end, double* out);
-
-/// out[i] = (mask[i] * weight[i]) * table[index[i]]. Multilayer Stage II:
-/// mask is the 0/1 source-support stream (as doubles), weight the
-/// per-iteration p(C|X) stream.
-void StageVotesMasked(Kind kind, const double* mask, const double* weight,
+/// out[i] = (mask[i] * weight[i]) * table[index[i]] for i in [begin, end).
+/// The E-step vote staging: mask is the 0/1 coverage stream (as doubles),
+/// weight the per-slot claim/correctness stream, table the per-source vote
+/// memo. out is indexed relative to begin (out[0] corresponds to element
+/// `begin`).
+void StageVotesMasked(const double* mask, const double* weight,
                       const uint32_t* index, const double* table,
                       size_t begin, size_t end, double* out);
 
-/// out[i] = weight[i] * (table[index[i]] - sub[i]). The POPACCU vote:
-/// table holds per-source log-odds, sub the per-slot log-popularity memo.
-void StageVotesSub(Kind kind, const double* weight, const uint32_t* index,
-                   const double* table, const double* sub, size_t begin,
-                   size_t end, double* out);
-
-/// out[i] = (mask[i] * weight[i]) * (table[index[i]] - sub[i]). Multilayer
-/// POPACCU Stage II.
-void StageVotesMaskedSub(Kind kind, const double* mask, const double* weight,
+/// out[i] = (mask[i] * weight[i]) * (table[index[i]] - sub[i]). The POPACCU
+/// vote: table holds per-source log-odds, sub the per-slot log-popularity
+/// memo.
+void StageVotesMaskedSub(const double* mask, const double* weight,
                          const uint32_t* index, const double* table,
                          const double* sub, size_t begin, size_t end,
                          double* out);
 
 /// out[e] = double(conf[e]) * net[group[e]] for e in [begin, end): the
 /// Stage I per-edge extraction-correctness term, net[g] = Pre_g - w*Abs_g.
-void StageEdgeTerms(Kind kind, const float* conf, const uint32_t* group,
+void StageEdgeTerms(const float* conf, const uint32_t* group,
                     const double* net, size_t begin, size_t end, double* out);
 
 // ---------------------------------------------------------------------------
@@ -126,44 +97,32 @@ void StageEdgeTerms(Kind kind, const float* conf, const uint32_t* group,
 // ---------------------------------------------------------------------------
 
 /// Reusable per-worker scratch for the E-step item pass. One instance per
-/// parallel chunk replaces the former fresh-std::vector-per-item churn
-/// (`value_votes` / `log_terms` in the pre-kernel model code); buffers grow
-/// to the largest item seen and are reused for the rest of the chunk.
+/// parallel chunk; buffers grow to the largest item seen and are reused for
+/// the rest of the chunk.
 struct EmScratch {
   std::vector<uint32_t> values;
   std::vector<double> value_votes;
   std::vector<double> log_terms;
-  /// Per-slot index into `values`, recorded during the grouping scan so
-  /// the posterior write-back is a gather instead of a re-search, with the
-  /// normalized exp computed once per distinct value.
-  std::vector<uint32_t> slot_vi;
-  /// Staged per-slot votes for the current block (vectorized kind) or the
-  /// current item (scalar reference).
+  /// Staged per-slot votes for the current block (staged path) or the
+  /// current item (per-slot path).
   std::vector<double> votes;
   /// Staged per-edge Stage I terms for the current block.
   std::vector<double> edge_terms;
 };
 
-/// Groups one item's staged votes by distinct value, normalizes through
-/// LogSumExp over the observed values plus the unobserved-value mass
-/// (Eqs. 2/21), and writes the slot posteriors, the covered flags and the
-/// item's unobserved-value probability.
-///
-/// The grouping scan and the normalizer are shared between kinds; the
-/// write-back dispatches on `kind`. The reference kind keeps the naive
-/// program (linear value re-search + one exp per slot — the verbatim
-/// pre-kernel model code, written for obviousness, not speed). The
-/// vectorized kind records each slot's value index during the grouping
-/// scan, computes exp(value_votes[vi] - log_z) once per DISTINCT value and
-/// gathers per slot — the same expression on the same inputs, so the
-/// posteriors are bit-for-bit identical (enforced by the parity suite and
-/// the bench_table7 hard gate).
+/// The scalar reference's per-item finisher. Groups one item's votes by
+/// distinct value, normalizes through LogSumExp over the observed values
+/// plus the unobserved-value mass (Eqs. 2/21), and writes the slot
+/// posteriors, the covered flags and the item's unobserved-value
+/// probability. It rediscovers the grouping on every call and re-searches
+/// the value list and evaluates one exp per slot on write-back: the naive
+/// program the oracle is defined by.
 ///
 /// `votes[s - votes_offset]` is the vote of slot s; `covered_mask[s]` is
 /// the per-slot coverage contribution (the item is covered when any of its
 /// slots contributes). `num_false` is the item's effective n. Returns the
 /// item's max |delta p| against the previous posteriors.
-double ItemValuePass(Kind kind, uint32_t slot_begin, uint32_t slot_end,
+double ItemValuePass(uint32_t slot_begin, uint32_t slot_end,
                      const double* votes, size_t votes_offset,
                      const uint8_t* covered_mask, const uint32_t* slot_values,
                      int num_false, double* slot_value_prob,
@@ -174,12 +133,11 @@ double ItemValuePass(Kind kind, uint32_t slot_begin, uint32_t slot_end,
 /// s's index among its item's `num_values` distinct values (a pure function
 /// of the static slot_values layout, so it is hoisted out of the iteration
 /// loop and computed once per Run). The vote accumulation visits slots in
-/// the same ascending order as the scanning version, the normalizer is the
-/// same, and the write-back is the vectorized gather — so the result is
-/// bit-for-bit identical to ItemValuePass on either kind (asserted by the
-/// parity suite). Used by the staged (vectorized) model paths only; the
-/// scalar reference keeps rediscovering the grouping per item, per
-/// iteration, as the naive program does.
+/// the same ascending order as the scanning version and the normalizer is
+/// the same; the write-back computes exp(value_votes[vi] - log_z) once per
+/// DISTINCT value and gathers per slot — the same expression on the same
+/// inputs — so the result is bit-for-bit identical to ItemValuePass
+/// (asserted by the parity suite). The staged kind's finisher.
 double ItemValuePassIndexed(uint32_t slot_begin, uint32_t slot_end,
                             const double* votes, size_t votes_offset,
                             const uint8_t* covered_mask,

@@ -115,16 +115,21 @@ TEST(MultiLayerModelTest, ParallelMatchesSerial) {
 
 TEST(MultiLayerModelTest, SubPhasesAreTimedOncePerIteration) {
   // I.Intercept nests inside I.ExtCorr; Scopes times the vote refresh and
-  // the slot-mass loop, the two bookkeeping passes between the stages.
+  // the slot-mass loop, the two bookkeeping passes between the stages;
+  // Alpha times the Eq. 26 prior update from its start iteration on.
   const CompiledMatrix matrix = BuildSyntheticMatrix(SyntheticConfig{});
+  const MultiLayerConfig config = TestConfig();
   dataflow::StageTimers timers;
   const auto result =
-      MultiLayerModel::Run(matrix, TestConfig(), {}, nullptr, &timers);
+      MultiLayerModel::Run(matrix, config, {}, nullptr, &timers);
   ASSERT_TRUE(result.ok());
   const int iterations = result->iterations;
+  ASSERT_GE(iterations, config.alpha_update_start_iteration);
   EXPECT_EQ(timers.Count("I.ExtCorr"), iterations);
   EXPECT_EQ(timers.Count("I.Intercept"), iterations);
   EXPECT_EQ(timers.Count("Scopes"), 2 * iterations);
+  EXPECT_EQ(timers.Count("Alpha"),
+            iterations - config.alpha_update_start_iteration + 1);
   EXPECT_LE(timers.TotalSeconds("I.Intercept"),
             timers.TotalSeconds("I.ExtCorr"));
   EXPECT_GE(result->intercept_sweeps, iterations);
@@ -137,6 +142,15 @@ TEST(MultiLayerModelTest, SubPhasesAreTimedOncePerIteration) {
   ASSERT_TRUE(off.ok());
   EXPECT_EQ(off->intercept_sweeps, 0);
   EXPECT_EQ(off_timers.Count("I.Intercept"), 0);
+
+  MultiLayerConfig frozen_alpha = TestConfig();
+  frozen_alpha.update_alpha = false;
+  dataflow::StageTimers frozen_timers;
+  const auto frozen =
+      MultiLayerModel::Run(matrix, frozen_alpha, {}, nullptr, &frozen_timers);
+  ASSERT_TRUE(frozen.ok());
+  EXPECT_EQ(frozen_timers.Count("I.ExtCorr"), frozen->iterations);
+  EXPECT_EQ(frozen_timers.Count("Alpha"), 0);
 }
 
 TEST(MultiLayerModelTest, PosteriorsAreValidProbabilities) {

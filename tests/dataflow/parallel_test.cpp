@@ -4,6 +4,7 @@
 #include <future>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -53,6 +54,28 @@ TEST(ParallelTest, ParallelForGroupsRunsEachGroup) {
   std::vector<std::atomic<int>> visits(57);
   exec.ParallelForGroups(57, [&visits](size_t g) { visits[g].fetch_add(1); });
   for (auto& v : visits) EXPECT_EQ(v.load(), 1);
+}
+
+TEST(ParallelTest, ForRangeAndForGroupsRunSeriallyWithoutExecutor) {
+  // Null executor: one range on the calling thread (none for n = 0), and
+  // groups in ascending order.
+  std::vector<std::pair<size_t, size_t>> ranges;
+  ForRange(nullptr, 7, [&](size_t b, size_t e) { ranges.emplace_back(b, e); });
+  ASSERT_EQ(ranges.size(), 1u);
+  EXPECT_EQ(ranges[0], std::make_pair(size_t{0}, size_t{7}));
+  ForRange(nullptr, 0, [](size_t, size_t) { FAIL() << "must not be called"; });
+  std::vector<size_t> order;
+  ForGroups(nullptr, 4, [&](size_t g) { order.push_back(g); });
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3}));
+
+  // With an executor, every index and every group is visited once.
+  Executor exec(3);
+  std::vector<std::atomic<int>> visits(500);
+  ForRange(&exec, visits.size(), [&](size_t b, size_t e) {
+    for (size_t i = b; i < e; ++i) visits[i].fetch_add(1);
+  });
+  ForGroups(&exec, visits.size(), [&](size_t g) { visits[g].fetch_add(1); });
+  for (auto& v : visits) EXPECT_EQ(v.load(), 2);
 }
 
 TEST(ParallelTest, SingleThreadExecutorStillCorrect) {

@@ -127,6 +127,42 @@ TEST(DatasetIoTest, DuplicateNfalseRejected) {
       << result.status().ToString();
 }
 
+// Hostile ids: each must come back as InvalidArgument before it indexes or
+// sizes anything.
+StatusCode ReadHostile(const char* name, const std::string& text,
+                       bool scores) {
+  const std::string path = TempPath(name);
+  {
+    std::ofstream out(path);
+    out << text;
+  }
+  return scores ? ReadKbtScores(path).status().code()
+                : ReadRawDataset(path).status().code();
+}
+
+TEST(DatasetIoTest, NegativeNfalseIdRejected) {
+  // "-1" parses as SIZE_MAX, and resize(pred + 1) would wrap to 0.
+  EXPECT_EQ(ReadHostile("nfalse_negative.tsv",
+                        "# kbt-raw-dataset v1\nnfalse -1 3\n",
+                        /*scores=*/false),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(DatasetIoTest, NfalseIdBeyondFileSizeRejected) {
+  // A 22-byte line would otherwise allocate about 1.9 GB.
+  EXPECT_EQ(ReadHostile("nfalse_huge.tsv",
+                        "# kbt-raw-dataset v1\nnfalse 400000000 3\n",
+                        /*scores=*/false),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(DatasetIoTest, KbtScoresSiteIdBeyondFileSizeRejected) {
+  EXPECT_EQ(ReadHostile("scores_huge.tsv",
+                        "# kbt-scores v1\n400000000 0.5 1\n",
+                        /*scores=*/true),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(DatasetIoTest, NfalseGapFilledByResizeMayStillBeDeclaredOnce) {
   const std::string path = TempPath("gap_nfalse.tsv");
   {

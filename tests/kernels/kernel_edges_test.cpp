@@ -1,8 +1,9 @@
 // Numeric edge cases the sanitizers care about: denormal inputs, votes at
 // the log-clamp boundaries, empty ranges, 1-element reduction blocks. Every
-// case runs on both kernel kinds and asserts bit-for-bit agreement, so a
-// UBSan-visible shortcut (reading past n, skipping the empty-range early
-// return, widening a denormal differently) cannot hide in either path.
+// case asserts bit-for-bit agreement with the documented program (and,
+// for the per-item finishers, between the reference and staged kinds'
+// finishers), so a UBSan-visible shortcut (reading past n, skipping the
+// empty-range early return, widening a denormal differently) cannot hide.
 // Also home of the M-step scratch-reuse regression: the blocked tallies
 // must equal an independently computed sequential tally.
 #include "kernels/kernels.h"
@@ -30,26 +31,35 @@ TEST(KernelEdgesTest, EmptyRangesAreExactZeroOnBothKinds) {
   const uint32_t* no_idx = nullptr;
   const double* no_d = nullptr;
   const float* no_f = nullptr;
-  for (Kind kind : {Kind::kScalarReference, Kind::kVectorized}) {
-    SCOPED_TRACE(KindName(kind));
-    const Tally t1 = TallyIndexed(kind, no_idx, 0, no_d, no_d);
-    EXPECT_EQ(Bits(t1.num), Bits(0.0));
-    EXPECT_EQ(Bits(t1.den), Bits(0.0));
-    const Tally t2 = TallyMap(kind, no_idx, 0, no_d, no_d);
-    EXPECT_EQ(Bits(t2.num), Bits(0.0));
-    EXPECT_EQ(Bits(t2.den), Bits(0.0));
-    const Tally t3 = TallyEdges(kind, no_idx, 0, no_f, no_idx, no_d);
-    EXPECT_EQ(Bits(t3.num), Bits(0.0));
-    EXPECT_EQ(Bits(t3.den), Bits(0.0));
-    // begin == end staging ranges are no-ops.
-    double out = 42.0;
-    StageVotes(kind, no_d, no_idx, no_d, 5, 5, &out);
-    StageVotesMasked(kind, no_d, no_d, no_idx, no_d, 5, 5, &out);
-    StageVotesSub(kind, no_d, no_idx, no_d, no_d, 5, 5, &out);
-    StageVotesMaskedSub(kind, no_d, no_d, no_idx, no_d, no_d, 5, 5, &out);
-    StageEdgeTerms(kind, no_f, no_idx, no_d, 5, 5, &out);
-    EXPECT_EQ(out, 42.0);
-  }
+  const uint8_t* no_mask = nullptr;
+  const Tally t1 = TallyIndexed(no_idx, 0, no_d, no_d);
+  EXPECT_EQ(Bits(t1.num), Bits(0.0));
+  EXPECT_EQ(Bits(t1.den), Bits(0.0));
+  const Tally t2 = TallyEdges(no_idx, 0, no_f, no_idx, no_d);
+  EXPECT_EQ(Bits(t2.num), Bits(0.0));
+  EXPECT_EQ(Bits(t2.den), Bits(0.0));
+  // begin == end staging ranges are no-ops.
+  double out = 42.0;
+  StageVotesMasked(no_d, no_d, no_idx, no_d, 5, 5, &out);
+  StageVotesMaskedSub(no_d, no_d, no_idx, no_d, no_d, 5, 5, &out);
+  StageEdgeTerms(no_f, no_idx, no_d, 5, 5, &out);
+  EXPECT_EQ(out, 42.0);
+  // An item with no slots: both kinds' finishers put all the mass on the
+  // n + 1 unobserved values and touch no slot pointer.
+  double un_ref = -1.0;
+  double un_idx = -2.0;
+  EmScratch scratch;
+  const double d_ref = ItemValuePass(5, 5, no_d, 0, no_mask, no_idx,
+                                     /*num_false=*/3, nullptr, nullptr,
+                                     &un_ref, &scratch);
+  const double d_idx = ItemValuePassIndexed(5, 5, no_d, 0, no_mask, no_idx,
+                                            /*num_values=*/0, /*num_false=*/3,
+                                            nullptr, nullptr, &un_idx,
+                                            &scratch);
+  EXPECT_EQ(Bits(d_ref), Bits(0.0));
+  EXPECT_EQ(Bits(d_idx), Bits(0.0));
+  EXPECT_EQ(Bits(un_ref), Bits(un_idx));
+  EXPECT_DOUBLE_EQ(un_ref, 0.25);
 }
 
 TEST(KernelEdgesTest, DenormalWeightsAgreeBitForBit) {
@@ -64,21 +74,25 @@ TEST(KernelEdgesTest, DenormalWeightsAgreeBitForBit) {
                                  0.25, 1.0,  0.75, tiny};
   std::vector<uint32_t> idx(w.size());
   for (size_t i = 0; i < idx.size(); ++i) idx[i] = uint32_t(i);
-  const Tally s =
-      TallyIndexed(Kind::kScalarReference, idx.data(), idx.size(), w.data(),
-                   p.data());
-  const Tally v = TallyIndexed(Kind::kVectorized, idx.data(), idx.size(),
-                               w.data(), p.data());
-  EXPECT_EQ(Bits(s.num), Bits(v.num));
-  EXPECT_EQ(Bits(s.den), Bits(v.den));
+  const Tally t = TallyIndexed(idx.data(), idx.size(), w.data(), p.data());
+  double lane_num[kTallyLanes] = {0, 0, 0, 0};
+  double lane_den[kTallyLanes] = {0, 0, 0, 0};
+  for (size_t k = 0; k < idx.size(); ++k) {
+    lane_num[k % kTallyLanes] += w[idx[k]] * p[idx[k]];
+    lane_den[k % kTallyLanes] += w[idx[k]];
+  }
+  EXPECT_EQ(Bits(t.num),
+            Bits((lane_num[0] + lane_num[1]) + (lane_num[2] + lane_num[3])));
+  EXPECT_EQ(Bits(t.den),
+            Bits((lane_den[0] + lane_den[1]) + (lane_den[2] + lane_den[3])));
+  EXPECT_GT(t.den, 0.0);
 
-  std::vector<double> out_s(w.size()), out_v(w.size());
-  StageVotes(Kind::kScalarReference, w.data(), idx.data(), p.data(), 0,
-             w.size(), out_s.data());
-  StageVotes(Kind::kVectorized, w.data(), idx.data(), p.data(), 0, w.size(),
-             out_v.data());
+  const std::vector<double> ones(w.size(), 1.0);
+  std::vector<double> out(w.size());
+  StageVotesMasked(ones.data(), w.data(), idx.data(), p.data(), 0, w.size(),
+                   out.data());
   for (size_t i = 0; i < w.size(); ++i) {
-    ASSERT_EQ(Bits(out_s[i]), Bits(out_v[i])) << i;
+    ASSERT_EQ(Bits(out[i]), Bits(w[i] * p[idx[i]])) << i;
   }
 }
 
@@ -93,14 +107,12 @@ TEST(KernelEdgesTest, VotesAtClampBoundariesStayFinite) {
   std::vector<double> w(table.size(), 1.0);
   std::vector<uint32_t> idx(table.size());
   for (size_t i = 0; i < idx.size(); ++i) idx[i] = uint32_t(i);
-  std::vector<double> out_s(table.size()), out_v(table.size());
-  StageVotes(Kind::kScalarReference, w.data(), idx.data(), table.data(), 0,
-             table.size(), out_s.data());
-  StageVotes(Kind::kVectorized, w.data(), idx.data(), table.data(), 0,
-             table.size(), out_v.data());
+  std::vector<double> out_s(table.size());
+  StageVotesMasked(w.data(), w.data(), idx.data(), table.data(), 0,
+                   table.size(), out_s.data());
   for (size_t i = 0; i < table.size(); ++i) {
     ASSERT_TRUE(std::isfinite(out_s[i]));
-    ASSERT_EQ(Bits(out_s[i]), Bits(out_v[i])) << i;
+    ASSERT_EQ(Bits(out_s[i]), Bits(table[i])) << i;
   }
   // An item voted entirely at the clamp bounds still yields a normalized
   // posterior (LogSumExp shifts by the max, so no overflow).
@@ -110,10 +122,9 @@ TEST(KernelEdgesTest, VotesAtClampBoundariesStayFinite) {
   std::vector<uint8_t> cov(table.size(), 0);
   double unobserved = -1.0;
   EmScratch scratch;
-  ItemValuePass(Kind::kScalarReference, 0, uint32_t(table.size()),
-                out_s.data(), 0, mask.data(), values.data(),
-                /*num_false=*/10, prob.data(), cov.data(), &unobserved,
-                &scratch);
+  ItemValuePass(0, uint32_t(table.size()), out_s.data(), 0, mask.data(),
+                values.data(), /*num_false=*/10, prob.data(), cov.data(),
+                &unobserved, &scratch);
   double total = unobserved * 10.0;  // 10 - 1 observed... upper bound check
   for (double p : prob) {
     ASSERT_TRUE(std::isfinite(p));
@@ -138,13 +149,8 @@ TEST(KernelEdgesTest, SingleElementAndLaneBoundaryTallies) {
   }
   for (size_t n = 1; n <= 5; ++n) {
     SCOPED_TRACE(n);
-    const Tally s =
-        TallyIndexed(Kind::kScalarReference, idx.data(), n, w.data(), p.data());
-    const Tally v =
-        TallyIndexed(Kind::kVectorized, idx.data(), n, w.data(), p.data());
-    ASSERT_EQ(Bits(s.num), Bits(v.num));
-    ASSERT_EQ(Bits(s.den), Bits(v.den));
-    // And the laned program really is the documented one: element k in lane
+    const Tally s = TallyIndexed(idx.data(), n, w.data(), p.data());
+    // The laned program really is the documented one: element k in lane
     // k % 4, lanes combined (l0 + l1) + (l2 + l3).
     double lane_num[kTallyLanes] = {0, 0, 0, 0};
     double lane_den[kTallyLanes] = {0, 0, 0, 0};
@@ -187,8 +193,7 @@ TEST(KernelEdgesTest, BlockedSumWithOneElementBlocks) {
 TEST(KernelEdgesTest, MStepTallyMatchesIndependentSequentialComputation) {
   // The scratch-churn fix moved the M-step through reusable buffers and
   // laned tallies; this guards the RESULT against that plumbing: the laned
-  // tally must equal a plainly written sequential sum to 1e-12 relative,
-  // and the two kinds must agree exactly.
+  // tally must equal a plainly written sequential sum to 1e-12 relative.
   std::mt19937_64 rng(777);
   std::uniform_real_distribution<double> uni(0.0, 1.0);
   const size_t num_slots = 1537;  // odd, > kStageBlock / 4, not lane-aligned
@@ -203,12 +208,8 @@ TEST(KernelEdgesTest, MStepTallyMatchesIndependentSequentialComputation) {
   for (size_t s = num_slots; s > 1; --s) {
     std::swap(idx[s - 1], idx[rng() % s]);
   }
-  const Tally scalar = TallyIndexed(Kind::kScalarReference, idx.data(),
-                                    num_slots, weight.data(), prob.data());
-  const Tally vectorized = TallyIndexed(Kind::kVectorized, idx.data(),
-                                        num_slots, weight.data(), prob.data());
-  ASSERT_EQ(Bits(scalar.num), Bits(vectorized.num));
-  ASSERT_EQ(Bits(scalar.den), Bits(vectorized.den));
+  const Tally scalar =
+      TallyIndexed(idx.data(), num_slots, weight.data(), prob.data());
   double num = 0.0, den = 0.0;
   for (size_t k = 0; k < num_slots; ++k) {
     num += weight[idx[k]] * prob[idx[k]];
@@ -240,27 +241,36 @@ TEST(KernelEdgesTest, EmScratchReuseAcrossManyItemsIsStable) {
       values[s] = uint32_t(rng() % 4);  // few distinct values, repeats
       mask[s] = rng() % 2 ? 1 : 0;
     }
-    // Fresh-scratch reference write-back is the baseline; each kind
-    // through its own chunk-shared scratch must match it bit for bit.
+    // The reference finisher with a fresh scratch is the baseline; each
+    // kind's finisher through its own chunk-shared scratch must match it
+    // bit for bit.
     std::vector<double> prob_fresh(num_slots, 0.0);
     std::vector<uint8_t> cov_fresh(num_slots, 0);
     double un_fresh = 0.0;
     EmScratch fresh;
     const double d_fresh = ItemValuePass(
-        Kind::kScalarReference, 0, num_slots, votes.data(), 0, mask.data(),
-        values.data(),
+        0, num_slots, votes.data(), 0, mask.data(), values.data(),
         /*num_false=*/10, prob_fresh.data(), cov_fresh.data(), &un_fresh,
         &fresh);
+    std::vector<uint32_t> slot_vi(num_slots);
+    const uint32_t num_values =
+        BuildValueIndex(0, num_slots, values.data(), slot_vi.data(), &fresh);
     for (Kind kind : {Kind::kScalarReference, Kind::kVectorized}) {
       EmScratch& shared =
           kind == Kind::kVectorized ? shared_vector : shared_scalar;
       std::vector<double> prob_shared(num_slots, 0.0);
       std::vector<uint8_t> cov_shared(num_slots, 0);
       double un_shared = 0.0;
-      const double d_shared = ItemValuePass(
-          kind, 0, num_slots, votes.data(), 0, mask.data(), values.data(),
-          /*num_false=*/10, prob_shared.data(), cov_shared.data(),
-          &un_shared, &shared);
+      const double d_shared =
+          kind == Kind::kScalarReference
+              ? ItemValuePass(0, num_slots, votes.data(), 0, mask.data(),
+                              values.data(), /*num_false=*/10,
+                              prob_shared.data(), cov_shared.data(),
+                              &un_shared, &shared)
+              : ItemValuePassIndexed(0, num_slots, votes.data(), 0,
+                                     mask.data(), slot_vi.data(), num_values,
+                                     /*num_false=*/10, prob_shared.data(),
+                                     cov_shared.data(), &un_shared, &shared);
       ASSERT_EQ(Bits(d_shared), Bits(d_fresh))
           << "item " << item << " kind " << KindName(kind);
       ASSERT_EQ(Bits(un_shared), Bits(un_fresh))

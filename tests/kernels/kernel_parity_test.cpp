@@ -1,10 +1,13 @@
-// Differential kernel parity: the vectorized kind must match the
-// scalar_reference oracle BIT FOR BIT — on raw kernel sweeps over
-// adversarial sizes (0 / 1 / odd / SIMD-width +- 1), on whole model runs
-// with every estimator variant, and end to end through Pipeline::Run on
-// the plain, sharded (K = 2) and stream-tick backends. Any mismatch here
-// means the two kinds no longer execute the same float program and the
-// oracle policy (docs/ARCHITECTURE.md, "EM kernels") is broken.
+// Differential kernel parity: the raw kernels must follow the documented
+// float program (the 4-lane tally, the elementwise staging products) BIT
+// FOR BIT over adversarial sizes (0 / 1 / odd / lane-width +- 1), the two
+// per-item finishers must agree, and the vectorized kind must match the
+// scalar_reference oracle bit for bit on whole model runs with every
+// estimator variant and extraction-weight input, and end to end through
+// Pipeline::Run on the plain, sharded (K = 2) and stream-tick backends. Any
+// mismatch here means the two kinds no longer execute the same float
+// program and the oracle policy (docs/ARCHITECTURE.md, "EM kernels") is
+// broken.
 #include "kernels/kernels.h"
 
 #include <gtest/gtest.h>
@@ -32,9 +35,9 @@
 namespace kbt::kernels {
 namespace {
 
-// Slot/edge counts crossing every dispatch boundary: empty, below one SIMD
-// register, exactly the lane count, one over, around two registers, around
-// the 64-entry unrolling horizon, and a bulk run.
+// Slot/edge counts crossing every lane boundary: empty, below the lane
+// count, exactly the lane count, one over, around two and four lane
+// widths, around the 64-entry unrolling horizon, and a bulk run.
 const size_t kSweepSizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 63, 64, 65, 1000};
 
 uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
@@ -101,32 +104,54 @@ KernelInputs MakeInputs(size_t n, uint64_t seed, bool all_false) {
   return in;
 }
 
+/// The reduction contract transcribed: term(k) = (num_k, den_k) lands in
+/// lane k % kTallyLanes, and the lanes combine as (l0 + l1) + (l2 + l3).
+template <typename Term>
+Tally LaneProgram(size_t n, Term term) {
+  double num[kTallyLanes] = {0.0, 0.0, 0.0, 0.0};
+  double den[kTallyLanes] = {0.0, 0.0, 0.0, 0.0};
+  for (size_t k = 0; k < n; ++k) {
+    const auto [a, b] = term(k);
+    num[k % kTallyLanes] += a;
+    den[k % kTallyLanes] += b;
+  }
+  return Tally{(num[0] + num[1]) + (num[2] + num[3]),
+               (den[0] + den[1]) + (den[2] + den[3])};
+}
+
 TEST(KernelParityTest, TalliesMatchBitForBitAcrossSizes) {
   for (size_t n : kSweepSizes) {
     SCOPED_TRACE(n);
     const KernelInputs in = MakeInputs(n, /*seed=*/0x9e3779b97f4a7c15 + n,
                                        /*all_false=*/false);
     {
-      const Tally s = TallyIndexed(Kind::kScalarReference, in.idx.data(), n,
-                                   in.w.data(), in.p.data());
-      const Tally v = TallyIndexed(Kind::kVectorized, in.idx.data(), n,
-                                   in.w.data(), in.p.data());
-      EXPECT_BITS_EQ(s.num, v.num);
-      EXPECT_BITS_EQ(s.den, v.den);
+      const Tally t = TallyIndexed(in.idx.data(), n, in.w.data(), in.p.data());
+      const Tally lanes = LaneProgram(n, [&](size_t k) {
+        const uint32_t s = in.idx[k];
+        return std::pair<double, double>(in.w[s] * in.p[s], in.w[s]);
+      });
+      EXPECT_BITS_EQ(t.num, lanes.num);
+      EXPECT_BITS_EQ(t.den, lanes.den);
     }
     {
-      // The correctness stream for the MAP tally: values on both sides of
-      // the 0.5 threshold, including exactly 0.5 (not taken: > 0.5).
+      // The MAP tally of Eq. 27 is TallyIndexed over the 0/1 threshold of
+      // the correctness stream; it must equal the masked program m * p, m
+      // with m = [c > 0.5]. Values on both sides of the threshold, including
+      // exactly 0.5 (not taken: > 0.5).
       std::vector<double> c(in.w.size());
+      std::vector<double> map(in.w.size());
       for (size_t i = 0; i < c.size(); ++i) {
         c[i] = (i % 4 == 0) ? 0.5 : in.p[i];
+        map[i] = c[i] > 0.5 ? 1.0 : 0.0;
       }
-      const Tally s = TallyMap(Kind::kScalarReference, in.idx.data(), n,
-                               c.data(), in.p.data());
-      const Tally v = TallyMap(Kind::kVectorized, in.idx.data(), n, c.data(),
-                               in.p.data());
-      EXPECT_BITS_EQ(s.num, v.num);
-      EXPECT_BITS_EQ(s.den, v.den);
+      const Tally t = TallyIndexed(in.idx.data(), n, map.data(), in.p.data());
+      const Tally lanes = LaneProgram(n, [&](size_t k) {
+        const uint32_t s = in.idx[k];
+        const double m = c[s] > 0.5 ? 1.0 : 0.0;
+        return std::pair<double, double>(m * in.p[s], m);
+      });
+      EXPECT_BITS_EQ(t.num, lanes.num);
+      EXPECT_BITS_EQ(t.den, lanes.den);
     }
     {
       // edges index into conf; edge_slot maps each edge to a slot in p's
@@ -136,12 +161,15 @@ TEST(KernelParityTest, TalliesMatchBitForBitAcrossSizes) {
       for (size_t i = 0; i < edge_slot.size(); ++i) {
         edge_slot[i] = static_cast<uint32_t>(rng() % in.p.size());
       }
-      const Tally s = TallyEdges(Kind::kScalarReference, in.idx.data(), n,
-                                 in.conf.data(), edge_slot.data(), in.p.data());
-      const Tally v = TallyEdges(Kind::kVectorized, in.idx.data(), n,
-                                 in.conf.data(), edge_slot.data(), in.p.data());
-      EXPECT_BITS_EQ(s.num, v.num);
-      EXPECT_BITS_EQ(s.den, v.den);
+      const Tally t = TallyEdges(in.idx.data(), n, in.conf.data(),
+                                 edge_slot.data(), in.p.data());
+      const Tally lanes = LaneProgram(n, [&](size_t k) {
+        const uint32_t e = in.idx[k];
+        const double w = static_cast<double>(in.conf[e]);
+        return std::pair<double, double>(w * in.p[edge_slot[e]], w);
+      });
+      EXPECT_BITS_EQ(t.num, lanes.num);
+      EXPECT_BITS_EQ(t.den, lanes.den);
     }
   }
 }
@@ -153,40 +181,32 @@ TEST(KernelParityTest, StagingSweepsMatchBitForBitAcrossSizes) {
                                         << " all_false=" << all_false);
       const KernelInputs in =
           MakeInputs(n, /*seed=*/0xc2b2ae3d27d4eb4f + n, all_false);
-      std::vector<double> s(n, -1.0);
-      std::vector<double> v(n, -2.0);
+      // `expect` is each kernel's documented per-element expression,
+      // evaluated one element at a time; `out` is the staged sweep.
+      std::vector<double> expect(n);
+      std::vector<double> out(n, -2.0);
 
-      StageVotes(Kind::kScalarReference, in.w.data(), in.idx.data(),
-                 in.table.data(), 0, n, s.data());
-      StageVotes(Kind::kVectorized, in.w.data(), in.idx.data(),
-                 in.table.data(), 0, n, v.data());
-      ExpectVectorBitsEq(s, v, "StageVotes");
+      for (size_t i = 0; i < n; ++i) {
+        expect[i] = (in.mask[i] * in.w[i]) * in.table[in.idx[i]];
+      }
+      StageVotesMasked(in.mask.data(), in.w.data(), in.idx.data(),
+                       in.table.data(), 0, n, out.data());
+      ExpectVectorBitsEq(expect, out, "StageVotesMasked");
 
-      StageVotesMasked(Kind::kScalarReference, in.mask.data(), in.w.data(),
-                       in.idx.data(), in.table.data(), 0, n, s.data());
-      StageVotesMasked(Kind::kVectorized, in.mask.data(), in.w.data(),
-                       in.idx.data(), in.table.data(), 0, n, v.data());
-      ExpectVectorBitsEq(s, v, "StageVotesMasked");
+      for (size_t i = 0; i < n; ++i) {
+        expect[i] =
+            (in.mask[i] * in.w[i]) * (in.table[in.idx[i]] - in.sub[i]);
+      }
+      StageVotesMaskedSub(in.mask.data(), in.w.data(), in.idx.data(),
+                          in.table.data(), in.sub.data(), 0, n, out.data());
+      ExpectVectorBitsEq(expect, out, "StageVotesMaskedSub");
 
-      StageVotesSub(Kind::kScalarReference, in.w.data(), in.idx.data(),
-                    in.table.data(), in.sub.data(), 0, n, s.data());
-      StageVotesSub(Kind::kVectorized, in.w.data(), in.idx.data(),
-                    in.table.data(), in.sub.data(), 0, n, v.data());
-      ExpectVectorBitsEq(s, v, "StageVotesSub");
-
-      StageVotesMaskedSub(Kind::kScalarReference, in.mask.data(), in.w.data(),
-                          in.idx.data(), in.table.data(), in.sub.data(), 0, n,
-                          s.data());
-      StageVotesMaskedSub(Kind::kVectorized, in.mask.data(), in.w.data(),
-                          in.idx.data(), in.table.data(), in.sub.data(), 0, n,
-                          v.data());
-      ExpectVectorBitsEq(s, v, "StageVotesMaskedSub");
-
-      StageEdgeTerms(Kind::kScalarReference, in.conf.data(), in.group.data(),
-                     in.net.data(), 0, n, s.data());
-      StageEdgeTerms(Kind::kVectorized, in.conf.data(), in.group.data(),
-                     in.net.data(), 0, n, v.data());
-      ExpectVectorBitsEq(s, v, "StageEdgeTerms");
+      for (size_t i = 0; i < n; ++i) {
+        expect[i] = static_cast<double>(in.conf[i]) * in.net[in.group[i]];
+      }
+      StageEdgeTerms(in.conf.data(), in.group.data(), in.net.data(), 0, n,
+                     out.data());
+      ExpectVectorBitsEq(expect, out, "StageEdgeTerms");
     }
   }
 }
@@ -197,14 +217,13 @@ TEST(KernelParityTest, StagingHonorsNonZeroBegin) {
   const size_t n = 97;
   const KernelInputs in = MakeInputs(n, /*seed=*/71, /*all_false=*/false);
   std::vector<double> whole(n);
-  StageVotesMasked(Kind::kVectorized, in.mask.data(), in.w.data(),
-                   in.idx.data(), in.table.data(), 0, n, whole.data());
+  StageVotesMasked(in.mask.data(), in.w.data(), in.idx.data(),
+                   in.table.data(), 0, n, whole.data());
   for (size_t begin : {size_t{0}, size_t{1}, size_t{3}, size_t{64}, n}) {
     for (size_t end : {begin, std::min(begin + 5, n), n}) {
       std::vector<double> part(end - begin, -7.0);
-      StageVotesMasked(Kind::kVectorized, in.mask.data(), in.w.data(),
-                       in.idx.data(), in.table.data(), begin, end,
-                       part.data());
+      StageVotesMasked(in.mask.data(), in.w.data(), in.idx.data(),
+                       in.table.data(), begin, end, part.data());
       for (size_t i = 0; i < part.size(); ++i) {
         ASSERT_EQ(Bits(part[i]), Bits(whole[begin + i]))
             << "begin=" << begin << " end=" << end << " i=" << i;
@@ -224,17 +243,20 @@ TEST(KernelParityTest, ItemValuePassSingleValueAndAllFalseItems) {
   const std::vector<uint32_t> values = {5, 5, 5};  // single-value item
   for (uint8_t mask_value : {uint8_t{1}, uint8_t{0}}) {
     const std::vector<uint8_t> mask(3, mask_value);
-    // Reference write-back with a clean scratch is the baseline; both
-    // kinds, clean or dirty scratch, must reproduce it bit for bit.
+    // The reference finisher with a clean scratch is the baseline; both
+    // kinds' finishers, through a dirty scratch, must reproduce it bit for
+    // bit.
     std::vector<double> prob_ref(3, 0.0);
     std::vector<uint8_t> cov_ref(3, 2);
     double un_ref = -1.0;
     EmScratch scratch_ref;
-    const double delta_ref =
-        ItemValuePass(Kind::kScalarReference, 0, 3, votes.data(), 0,
-                      mask.data(), values.data(),
-                      /*num_false=*/10, prob_ref.data(), cov_ref.data(),
-                      &un_ref, &scratch_ref);
+    const double delta_ref = ItemValuePass(
+        0, 3, votes.data(), 0, mask.data(), values.data(),
+        /*num_false=*/10, prob_ref.data(), cov_ref.data(), &un_ref,
+        &scratch_ref);
+    std::vector<uint32_t> slot_vi(3);
+    const uint32_t num_values =
+        BuildValueIndex(0, 3, values.data(), slot_vi.data(), &scratch_ref);
     for (Kind kind : {Kind::kScalarReference, Kind::kVectorized}) {
       SCOPED_TRACE(::testing::Message()
                    << "mask=" << int(mask_value) << " kind=" << KindName(kind));
@@ -247,12 +269,15 @@ TEST(KernelParityTest, ItemValuePassSingleValueAndAllFalseItems) {
       scratch_b.values.assign(100, 9);
       scratch_b.value_votes.assign(100, 3.25);
       scratch_b.log_terms.assign(100, -8.5);
-      scratch_b.slot_vi.assign(100, 77);
       const double delta_b =
-          ItemValuePass(kind, 0, 3, votes.data(), 0, mask.data(),
-                        values.data(),
-                        /*num_false=*/10, prob_b.data(), cov_b.data(), &un_b,
-                        &scratch_b);
+          kind == Kind::kScalarReference
+              ? ItemValuePass(0, 3, votes.data(), 0, mask.data(),
+                              values.data(), /*num_false=*/10, prob_b.data(),
+                              cov_b.data(), &un_b, &scratch_b)
+              : ItemValuePassIndexed(0, 3, votes.data(), 0, mask.data(),
+                                     slot_vi.data(), num_values,
+                                     /*num_false=*/10, prob_b.data(),
+                                     cov_b.data(), &un_b, &scratch_b);
       EXPECT_BITS_EQ(delta_ref, delta_b);
       EXPECT_BITS_EQ(un_ref, un_b);
       ExpectVectorBitsEq(prob_ref, prob_b, "slot_value_prob");
@@ -277,15 +302,22 @@ TEST(KernelParityTest, ItemValuePassNoUnobservedMassWhenDomainIsFull) {
   const std::vector<double> votes = {1.0, -2.0, 0.5};
   const std::vector<uint32_t> values = {1, 2, 3};
   const std::vector<uint8_t> mask = {1, 1, 1};
+  const std::vector<uint32_t> slot_vi = {0, 1, 2};
   for (Kind kind : {Kind::kScalarReference, Kind::kVectorized}) {
     SCOPED_TRACE(::testing::Message() << "kind=" << KindName(kind));
     std::vector<double> prob(3, 0.0);
     std::vector<uint8_t> cov(3, 0);
     double unobserved = -1.0;
     EmScratch scratch;
-    ItemValuePass(kind, 0, 3, votes.data(), 0, mask.data(), values.data(),
-                  /*num_false=*/2, prob.data(), cov.data(), &unobserved,
-                  &scratch);
+    if (kind == Kind::kScalarReference) {
+      ItemValuePass(0, 3, votes.data(), 0, mask.data(), values.data(),
+                    /*num_false=*/2, prob.data(), cov.data(), &unobserved,
+                    &scratch);
+    } else {
+      ItemValuePassIndexed(0, 3, votes.data(), 0, mask.data(),
+                           slot_vi.data(), /*num_values=*/3, /*num_false=*/2,
+                           prob.data(), cov.data(), &unobserved, &scratch);
+    }
     EXPECT_BITS_EQ(unobserved, 0.0);
     double total = prob[0] + prob[1] + prob[2];
     EXPECT_NEAR(total, 1.0, 1e-12);
@@ -320,9 +352,8 @@ TEST(KernelParityTest, ItemValuePassIndexedMatchesReferenceBitForBit) {
     double un_ref = -1.0, un_idx = -1.0;
     EmScratch scratch_ref, scratch_idx, vi_scratch;
     const double d_ref = ItemValuePass(
-        Kind::kScalarReference, 0, num_slots, votes.data(), 0, mask.data(),
-        values.data(), num_false, prob_ref.data(), cov_ref.data(), &un_ref,
-        &scratch_ref);
+        0, num_slots, votes.data(), 0, mask.data(), values.data(), num_false,
+        prob_ref.data(), cov_ref.data(), &un_ref, &scratch_ref);
 
     std::vector<uint32_t> slot_vi(num_slots, 999);
     const uint32_t num_values = BuildValueIndex(0, num_slots, values.data(),
@@ -346,8 +377,20 @@ TEST(KernelParityTest, ItemValuePassIndexedMatchesReferenceBitForBit) {
 // Whole-model parity: flip only config.kernel, compare everything bitwise.
 // ---------------------------------------------------------------------------
 
-extract::CompiledMatrix BuildMatrix(const extract::RawDataset& data,
+/// The synthetic generator extracts every triple at confidence 1 and gives
+/// every predicate the same n. The model parity runs spread the
+/// confidences over (0, 1], so the confidence-weighted and thresholded
+/// variants differ, and give each predicate its own n, so the variants
+/// without an n override take the staged kind's per-slot path.
+extract::CompiledMatrix BuildMatrix(extract::RawDataset data,
                                     bool provenance) {
+  for (size_t i = 0; i < data.observations.size(); ++i) {
+    data.observations[i].confidence =
+        static_cast<float>((i * 37) % 20 + 1) / 20.0f;
+  }
+  for (size_t p = 0; p < data.num_false_by_predicate.size(); ++p) {
+    data.num_false_by_predicate[p] += 2 * static_cast<int>(p);
+  }
   const extract::GroupAssignment assignment =
       provenance ? granularity::ProvenanceAssignment(data)
                  : granularity::FinestAssignment(data);
@@ -389,10 +432,29 @@ void ExpectMultiLayerBitsEq(const core::MultiLayerResult& a,
   EXPECT_EQ(a.converged, b.converged);
 }
 
+/// The extraction-weight inputs of the model parity loops (the streaming
+/// layer's decay hook): none, all ones, and a decayed vector with exact
+/// zeros among its multipliers.
+struct WeightInputs {
+  explicit WeightInputs(const extract::CompiledMatrix& matrix)
+      : ones(matrix.num_extractions(), 1.0f),
+        decayed(matrix.num_extractions()) {
+    for (size_t e = 0; e < decayed.size(); ++e) {
+      decayed[e] = static_cast<float>((e * 37) % 11) / 10.0f;
+    }
+  }
+  std::vector<const std::vector<float>*> All() const {
+    return {nullptr, &ones, &decayed};
+  }
+  std::vector<float> ones;
+  std::vector<float> decayed;
+};
+
 TEST(KernelParityTest, SingleLayerModelMatchesAcrossEstimatorVariants) {
   const exp::SyntheticData syn = exp::GenerateSynthetic(exp::SyntheticConfig{});
   const extract::CompiledMatrix matrix =
       BuildMatrix(syn.data, /*provenance=*/true);
+  const WeightInputs weights(matrix);
   for (core::ValueModel vm :
        {core::ValueModel::kAccu, core::ValueModel::kPopAccu}) {
     for (int n_override : {100, -1}) {
@@ -406,13 +468,26 @@ TEST(KernelParityTest, SingleLayerModelMatchesAcrossEstimatorVariants) {
         config.num_false_override = n_override;
         config.use_confidence_weights = confidence_weights;
 
-        config.kernel = Kind::kScalarReference;
-        auto scalar = fusion::SingleLayerModel::Run(matrix, config);
-        ASSERT_TRUE(scalar.ok());
-        config.kernel = Kind::kVectorized;
-        auto vectorized = fusion::SingleLayerModel::Run(matrix, config);
-        ASSERT_TRUE(vectorized.ok());
-        ExpectSingleLayerBitsEq(*scalar, *vectorized);
+        std::vector<fusion::SingleLayerResult> by_input;
+        for (const std::vector<float>* w : weights.All()) {
+          SCOPED_TRACE(w == nullptr           ? "weights=null"
+                       : w == &weights.ones ? "weights=ones"
+                                            : "weights=decayed");
+          config.kernel = Kind::kScalarReference;
+          auto scalar = fusion::SingleLayerModel::Run(matrix, config, {},
+                                                      nullptr, nullptr, {}, w);
+          ASSERT_TRUE(scalar.ok());
+          config.kernel = Kind::kVectorized;
+          auto vectorized = fusion::SingleLayerModel::Run(
+              matrix, config, {}, nullptr, nullptr, {}, w);
+          ASSERT_TRUE(vectorized.ok());
+          ExpectSingleLayerBitsEq(*scalar, *vectorized);
+          by_input.push_back(std::move(*scalar));
+        }
+        // All-ones weights are the unweighted run, bit for bit; decay moves
+        // the posteriors.
+        ExpectSingleLayerBitsEq(by_input[0], by_input[1]);
+        EXPECT_NE(by_input[0].slot_value_prob, by_input[2].slot_value_prob);
       }
     }
   }
@@ -444,6 +519,10 @@ TEST(KernelParityTest, MultiLayerModelMatchesAcrossEstimatorVariants) {
   const exp::SyntheticData syn = exp::GenerateSynthetic(exp::SyntheticConfig{});
   const extract::CompiledMatrix matrix =
       BuildMatrix(syn.data, /*provenance=*/false);
+  const WeightInputs weights(matrix);
+  // Variants where decay moved p(C): a variant whose presence votes vanish
+  // ignores confidences, so the hook shows in some variants, not all.
+  int decay_moved = 0;
   for (bool weighted : {true, false}) {
     for (bool calibrate : {true, false}) {
       for (core::ValueModel vm :
@@ -460,17 +539,33 @@ TEST(KernelParityTest, MultiLayerModelMatchesAcrossEstimatorVariants) {
           config.value_model = vm;
           config.num_false_override = n_override;
 
-          config.kernel = Kind::kScalarReference;
-          auto scalar = core::MultiLayerModel::Run(matrix, config);
-          ASSERT_TRUE(scalar.ok());
-          config.kernel = Kind::kVectorized;
-          auto vectorized = core::MultiLayerModel::Run(matrix, config);
-          ASSERT_TRUE(vectorized.ok());
-          ExpectMultiLayerBitsEq(*scalar, *vectorized);
+          std::vector<core::MultiLayerResult> by_input;
+          for (const std::vector<float>* w : weights.All()) {
+            SCOPED_TRACE(w == nullptr           ? "weights=null"
+                         : w == &weights.ones ? "weights=ones"
+                                              : "weights=decayed");
+            config.kernel = Kind::kScalarReference;
+            auto scalar =
+                core::MultiLayerModel::Run(matrix, config, {}, nullptr,
+                                           nullptr, w);
+            ASSERT_TRUE(scalar.ok());
+            config.kernel = Kind::kVectorized;
+            auto vectorized =
+                core::MultiLayerModel::Run(matrix, config, {}, nullptr,
+                                           nullptr, w);
+            ASSERT_TRUE(vectorized.ok());
+            ExpectMultiLayerBitsEq(*scalar, *vectorized);
+            by_input.push_back(std::move(*scalar));
+          }
+          ExpectMultiLayerBitsEq(by_input[0], by_input[1]);
+          if (by_input[0].slot_correct_prob != by_input[2].slot_correct_prob) {
+            ++decay_moved;
+          }
         }
       }
     }
   }
+  EXPECT_GT(decay_moved, 0);
 }
 
 TEST(KernelParityTest, MultiLayerModelMatchesOnMotivatingExample) {
